@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race bench bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
+.PHONY: all vet lint build test race flake perfbench-test bench bench-json bench-matrix bench-matrix-smoke bench-server bench-server-smoke trace-verify chaos verify-protocol check
 
 all: check
 
@@ -28,6 +28,23 @@ test:
 # churns allocations while minor and full cycles run.
 race:
 	$(GO) test -race -run 'Race|Stress|Parallel' ./...
+
+# flake reruns the root package's concurrency tests at -count=10 under
+# GOMAXPROCS 1, 2 and 4 while a busy-loop CPU hog competes for the
+# processors, so a test that leans on wall-clock luck or an idle host
+# fails here rather than intermittently in tier-1.
+flake:
+	@sh -c 'while :; do :; done' & hog=$$!; \
+	trap 'kill $$hog' EXIT; trap 'exit 1' HUP INT PIPE TERM; \
+	for p in 1 2 4; do \
+		echo "flake: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=10 -run 'Stress|Race|Parallel' . || exit 1; \
+	done
+
+# perfbench-test runs the repository benchmark's own tests (perfbench/
+# is a module of its own, so ./... above does not reach it).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
@@ -119,4 +136,4 @@ trace-verify:
 	|| { rc=$$?; echo "trace-verify: FAILED"; cat $$tmp/report.txt $$tmp/batched.txt 2>/dev/null; }; \
 	rm -rf $$tmp; exit $$rc
 
-check: lint build test race chaos trace-verify verify-protocol
+check: lint build test race perfbench-test chaos trace-verify verify-protocol

@@ -2,8 +2,10 @@ package gengc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // allocChurnMutator is an allocation-heavy mutator for the shard stress
@@ -121,5 +123,117 @@ func TestAllocShardStressUnderCycles(t *testing.T) {
 				t.Errorf("default shard count = %d, want one per class (13)", st.Alloc.Shards)
 			}
 		})
+	}
+}
+
+// TestExactAccountingRace polls the exact totals — HeapBytes,
+// HeapObjects and Snapshot, which add the attached caches' unpublished
+// runs to the heap's shard totals — while four mutators allocate small
+// and large objects under background collections. The polled values
+// must never go negative, must be exact against a color census once the
+// collector stops (with every cache still holding open runs), and must
+// equal the heap counters after Verify publishes the caches. Run under
+// -race by `make race`.
+func TestExactAccountingRace(t *testing.T) {
+	rt, err := New(WithMode(Generational), WithHeapBytes(16<<20),
+		WithYoungBytes(256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	const workers = 4
+	muts := make([]*Mutator, workers)
+	for i := range muts {
+		muts[i] = rt.NewMutator()
+	}
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		defer func() { polled <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := rt.Snapshot()
+			if b, o := rt.HeapBytes(), rt.HeapObjects(); b < 0 || o < 0 ||
+				s.HeapBytes < 0 || s.HeapObjects < 0 {
+				t.Errorf("negative total: bytes %d objects %d, snapshot %d/%d",
+					b, o, s.HeapBytes, s.HeapObjects)
+				return
+			}
+			n++
+			runtime.Gosched()
+		}
+	}()
+	// A mutator that finished its allocations stays attached (its
+	// cache keeps its open runs) and keeps answering handshakes until
+	// the collector has stopped.
+	var allocating, attached sync.WaitGroup
+	stopped := make(chan struct{})
+	for i, m := range muts {
+		allocating.Add(1)
+		attached.Add(1)
+		go func(id int, m *Mutator) {
+			defer attached.Done()
+			sizes := []int{16, 40, 96, 224, 480, 992, 3000}
+			root := m.PushRoot(Nil)
+			for op := 0; op < 10000; op++ {
+				x, err := m.Alloc(1, sizes[(op+id)%len(sizes)])
+				if err != nil {
+					t.Errorf("mutator %d: alloc: %v", id, err)
+					break
+				}
+				if op%8 == 0 {
+					m.SetRoot(root, x)
+				}
+				m.Safepoint()
+			}
+			allocating.Done()
+			for {
+				select {
+				case <-stopped:
+					return
+				default:
+					m.Safepoint()
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}(i, m)
+	}
+	allocating.Wait()
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Error("the poller never read the totals")
+	}
+	// Stopped collector, attached mutators: no publication happens
+	// from here until Verify, so the census is the exact reference.
+	rt.Close()
+	close(stopped)
+	attached.Wait()
+	h := rt.Collector().H
+	census := h.Census()
+	if got := rt.HeapBytes(); got != int64(census.ObjectBytes) {
+		t.Errorf("HeapBytes = %d, census %d", got, census.ObjectBytes)
+	}
+	if got := rt.HeapObjects(); got != int64(census.Objects) {
+		t.Errorf("HeapObjects = %d, census %d", got, census.Objects)
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	s := rt.Snapshot()
+	if s.HeapBytes != h.AllocatedBytes() || rt.HeapBytes() != h.AllocatedBytes() {
+		t.Errorf("after Verify: HeapBytes %d, snapshot %d, heap counters %d",
+			rt.HeapBytes(), s.HeapBytes, h.AllocatedBytes())
+	}
+	if s.HeapObjects != h.AllocatedObjects() || rt.HeapObjects() != h.AllocatedObjects() {
+		t.Errorf("after Verify: HeapObjects %d, snapshot %d, heap counters %d",
+			rt.HeapObjects(), s.HeapObjects, h.AllocatedObjects())
+	}
+	for _, m := range muts {
+		m.Detach()
 	}
 }

@@ -370,11 +370,12 @@ type Snapshot struct {
 // from any goroutine, including while mutators and the collector run.
 func (r *Runtime) Snapshot() Snapshot {
 	fleet, per := r.c.PauseStats()
+	bytes, objects := r.c.HeapTotals()
 	s := Snapshot{
 		Cycles:        r.c.CyclesDone(),
 		Fulls:         r.c.FullsDone(),
-		HeapBytes:     r.c.HeapBytes(),
-		HeapObjects:   r.c.HeapObjects(),
+		HeapBytes:     bytes,
+		HeapObjects:   objects,
 		Stalls:        r.c.Stalls(),
 		AbortedCycles: r.c.AbortedCycles(),
 		TraceDrops:    r.c.TraceDrops(),
@@ -430,10 +431,16 @@ func (r *Runtime) PublishExpvar(name string) error {
 
 // HeapBytes returns the currently allocated bytes (live plus floating
 // garbage).
-func (r *Runtime) HeapBytes() int64 { return r.c.HeapBytes() }
+func (r *Runtime) HeapBytes() int64 {
+	bytes, _ := r.c.HeapTotals()
+	return bytes
+}
 
 // HeapObjects returns the currently allocated object count.
-func (r *Runtime) HeapObjects() int64 { return r.c.HeapObjects() }
+func (r *Runtime) HeapObjects() int64 {
+	_, objects := r.c.HeapTotals()
+	return objects
+}
 
 // SetGlobal stores v in global root slot i. Global roots live in an
 // ordinary heap object, so the store goes through the write barrier of

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gengc/internal/heap"
 )
 
 // admissionCollector builds a collector with the given admission
@@ -153,13 +155,17 @@ func TestAdmissionDegradedShedsLowPriority(t *testing.T) {
 func TestAdmissionRedLineDegrades(t *testing.T) {
 	c := admissionCollector(t, AdmissionConfig{MaxInFlight: 8, RedLine: 0.5})
 	a := c.Admission()
-	// Pump the pacer's occupancy estimate past the red line without
-	// touching the heap: NoteAlloc is the estimate's only input
-	// between reconciles.
-	emergency := int64(float64(c.H.SizeBytes) * c.Config().FullThreshold)
-	c.Pacer().Reconcile(emergency/2 + (1 << 20))
-	if got := c.Pacer().OccupancyRatio(); got < 0.5 {
-		t.Fatalf("occupancy ratio %v, want >= 0.5", got)
+	// Fill the heap past the red line with large objects, which
+	// publish into the heap's allocation total at once: the pacer's
+	// occupancy is that total.
+	var cache heap.Cache
+	var objs []heap.Addr
+	for c.Pacer().OccupancyRatio() < 0.5 {
+		x, err := c.H.Alloc(&cache, 0, 64<<10, heap.White)
+		if err != nil {
+			t.Fatalf("filling the heap: %v", err)
+		}
+		objs = append(objs, x)
 	}
 	if err := a.Admit(context.Background(), PriorityLow); !errors.Is(err, ErrShed) {
 		t.Fatalf("low-priority admit over the red line: err = %v, want ErrShed", err)
@@ -168,8 +174,10 @@ func TestAdmissionRedLineDegrades(t *testing.T) {
 		t.Fatalf("high-priority admit over the red line: %v", err)
 	}
 	a.Release()
-	// Dropping the estimate exits degraded mode.
-	c.Pacer().Reconcile(0)
+	// Freeing the objects exits degraded mode.
+	for _, x := range objs {
+		c.H.FreeCell(x)
+	}
 	if a.Degraded() {
 		t.Fatal("controller degraded with an empty heap")
 	}

@@ -145,12 +145,8 @@ func TestBatchedEagerEquivalence(t *testing.T) {
 				// the second runs on a quiescent heap.
 				m.Collect(true)
 				m.Collect(true)
-				res := result{
-					objects: c.HeapObjects(),
-					bytes:   c.HeapBytes(),
-					sig:     graphSignature(c, m),
-					stats:   c.BarrierStats(),
-				}
+				res := result{sig: graphSignature(c, m), stats: c.BarrierStats()}
+				res.bytes, res.objects = c.HeapTotals()
 				m.Detach()
 				c.Stop()
 				return res

@@ -70,15 +70,6 @@ type Collector struct {
 	// acknowledgement round (monotonic, never reset).
 	grayProduced atomic.Int64
 
-	// heapBytes/heapObjects are the exact facade-facing allocation
-	// totals, charged per allocation (cell size) and per sweep free
-	// batch. The heap's own shard counters defer publication in the
-	// mutator caches for fast-path speed, so they lag by the open
-	// allocation runs; this layer keeps the per-object-exact totals
-	// Snapshot and HeapBytes/HeapObjects promise.
-	heapBytes   atomic.Int64
-	heapObjects atomic.Int64
-
 	// muts is the mutator registry.
 	muts struct {
 		sync.Mutex
@@ -295,7 +286,7 @@ func New(cfg Config) (*Collector, error) {
 	} else {
 		c.clearColor.Store(uint32(heap.Yellow))
 	}
-	c.pacer = newPacer(cfg, h.SizeBytes)
+	c.pacer = newPacer(cfg, h)
 	if cfg.Admission != nil {
 		c.admission = newAdmission(c, *cfg.Admission)
 	}
@@ -316,8 +307,9 @@ func New(cfg Config) (*Collector, error) {
 	}
 	c.globals = g
 	h.Flush(&cache)
-	c.heapBytes.Store(h.AllocatedBytes())
-	c.heapObjects.Store(h.AllocatedObjects())
+	// From here on every allocation publication feeds the pacer; the
+	// global-roots object is not young allocation.
+	h.SetPublishHook(c.notePublished)
 	return c, nil
 }
 
@@ -586,7 +578,7 @@ func (c *Collector) run() {
 			continue
 		}
 		if full && c.fullWaiters.Load() == 0 &&
-			!c.pacer.FullDue(c.H.AllocatedBytes()) {
+			!c.pacer.FullDue() {
 			continue
 		}
 		c.Cycle(full)
@@ -612,35 +604,39 @@ func (c *Collector) request(full bool) {
 	}
 }
 
-// noteAlloc charges one successful allocation — size is the requested
-// size fed to the pacer, charged the cell size backing the exact heap
-// totals — and converts the pacer's verdict into a collection request.
-// Called from the allocation path; the pacer works from its own
-// counters, so this never touches heap-wide state.
-func (c *Collector) noteAlloc(size, charged int) {
-	c.heapBytes.Add(int64(charged))
-	c.heapObjects.Add(1)
-	switch c.pacer.NoteAlloc(size) {
+// notePublished is the heap's publish hook: it feeds one publication's
+// requested bytes to the pacer and turns the verdict into a request.
+// It also bounds the young generation: mutators that outnumber the CPUs
+// can starve the collector, so past twice YoungBytes every publication
+// sleeps the mutator one allocation-wait poll (a sleep, unlike
+// runtime.Gosched, frees the OS thread too).
+func (c *Collector) notePublished(requested int64) {
+	switch c.pacer.NoteAlloc(requested) {
 	case TriggerFull:
 		c.request(true)
 	case TriggerPartial:
 		c.request(false)
+		if c.started.Load() && c.pacer.YoungAlloc() >= 2*int64(c.cfg.YoungBytes) {
+			time.Sleep(AllocWaitSleepBase)
+		}
 	}
 }
 
-// noteFreed uncharges a sweep free batch from the exact heap totals.
-func (c *Collector) noteFreed(objects, bytes int) {
-	c.heapBytes.Add(-int64(bytes))
-	c.heapObjects.Add(-int64(objects))
+// HeapTotals returns the exact allocated bytes (at cell granularity)
+// and objects, live plus floating garbage: the shard totals plus every
+// attached cache's Unpublished runs, read first so a run publishing
+// mid-read is counted twice, never missed. Detach flushes before it
+// leaves the registry, whose lock is held throughout.
+func (c *Collector) HeapTotals() (bytes, objects int64) {
+	c.muts.Lock()
+	defer c.muts.Unlock()
+	for _, m := range c.muts.list {
+		b, o := m.cache.Unpublished()
+		bytes += b
+		objects += o
+	}
+	return bytes + c.H.AllocatedBytes(), objects + c.H.AllocatedObjects()
 }
-
-// HeapBytes returns the exact currently allocated bytes (live plus
-// floating garbage, at cell granularity) — unlike the heap's shard
-// counters it does not lag behind unpublished cache runs.
-func (c *Collector) HeapBytes() int64 { return c.heapBytes.Load() }
-
-// HeapObjects returns the exact currently allocated object count.
-func (c *Collector) HeapObjects() int64 { return c.heapObjects.Load() }
 
 // Pacer exposes the collection-scheduling component.
 func (c *Collector) Pacer() *Pacer { return c.pacer }

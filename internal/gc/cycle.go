@@ -247,11 +247,10 @@ func (c *Collector) Cycle(full bool) {
 	}
 	// Retire the cycle with the pacer: consume the young bytes the
 	// cycle covered (bytes allocated while it ran are young for the
-	// *next* cycle), reconcile the occupancy estimate against the
-	// heap's shard counters, and — after a partial — learn whether the
-	// old generation the partial cannot reclaim has grown past the
-	// target, making a full collection due.
-	if c.pacer.EndCycle(youngAtStart, c.H.AllocatedBytes(), full) {
+	// *next* cycle) and — after a partial — learn whether the old
+	// generation the partial cannot reclaim has grown past the target,
+	// making a full collection due.
+	if c.pacer.EndCycle(youngAtStart, full) {
 		c.request(true)
 	}
 	c.cyclesDone.Add(1)

@@ -29,6 +29,9 @@ type Mutator struct {
 
 	cache heap.Cache
 
+	// allocCell is the create step, chosen once at attach.
+	allocCell func(slots, size int) (heap.Addr, error)
+
 	// roots is the simulated thread stack. Only the owning goroutine
 	// reads or writes it: per DLG there is no write barrier on stack
 	// operations, and the mutator itself marks these roots when it
@@ -69,6 +72,12 @@ type Mutator struct {
 // NewMutator attaches a new mutator thread to the collector.
 func (c *Collector) NewMutator() *Mutator {
 	m := &Mutator{c: c, roots: make([]heap.Addr, 0, 64)}
+	m.allocCell = func(slots, size int) (heap.Addr, error) {
+		return c.H.Alloc(&m.cache, slots, size, c.AllocColor())
+	}
+	if c.cfg.DisableColorToggle {
+		m.allocCell = m.allocToggleFree
+	}
 	if c.cfg.Barrier == BarrierBatched {
 		m.bb = newBarrierBuf()
 	}
@@ -496,18 +505,9 @@ func (m *Mutator) alloc(ctx context.Context, slots, size int) (heap.Addr, error)
 			}
 		}
 		if err == nil {
-			if m.c.cfg.DisableColorToggle {
-				addr, err = m.allocToggleFree(slots, size)
-			} else {
-				addr, err = m.c.H.Alloc(&m.cache, slots, size, m.c.AllocColor())
+			if addr, err = m.allocCell(slots, size); err == nil {
+				return addr, nil
 			}
-		}
-		if err == nil {
-			if size < heap.HeaderBytes+slots*heap.WordBytes {
-				size = heap.HeaderBytes + slots*heap.WordBytes
-			}
-			m.c.noteAlloc(size, m.c.H.SizeOf(addr))
-			return addr, nil
 		}
 		if attempt >= m.c.cfg.AllocRetries {
 			m.c.pacer.NoteSlip()

@@ -86,10 +86,9 @@ func (m *Mutator) allocToggleFree(slots, size int) (heap.Addr, error) {
 func (c *Collector) sweepToggleFree() {
 	batch := make([]heap.Addr, 0, freeBatchSize)
 	flush := func() {
-		if n := len(batch); n > 0 {
+		if len(batch) > 0 {
 			bytes := c.H.FreeBatch(batch)
 			c.cyc.BytesFreed += bytes
-			c.noteFreed(n, bytes)
 			batch = batch[:0]
 		}
 	}

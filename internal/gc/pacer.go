@@ -4,10 +4,12 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"gengc/internal/heap"
 )
 
-// Trigger is the pacer's verdict on one allocation: whether the
-// collector should be asked for a collection, and which kind.
+// Trigger is the pacer's verdict on one allocation publication: whether
+// the collector should be asked for a collection, and which kind.
 type Trigger int
 
 const (
@@ -21,15 +23,11 @@ const (
 // adaptive full-collection target modeling the paper's grow-on-demand
 // heap, and the DynamicTenure threshold of §6.
 //
-// The pacer never takes a heap-wide snapshot on the allocation path.
-// NoteAlloc maintains its own occupancy estimate with one atomic add and
-// compares it against cached targets; the estimate is resynchronized
-// against the heap's summed per-shard allocation counters once per cycle
-// (Reconcile/EndCycle), which is also the only time the counters are
-// read. Between reconciliations the estimate can only overshoot — sweep
-// frees are not subtracted until cycle end — and an overshoot at worst
-// requests a collection early, which the collector's staleness check
-// (run) drops after consulting the real counters off the hot path.
+// The pacer does nothing per allocation: the heap's allocation
+// publications feed it (NoteAlloc, via the collector's publish hook), so
+// its triggers trail the true allocation by at most the open runs, one
+// refill batch per size class per mutator. The watermarks read the
+// heap's allocated total, which lags the same way and never overshoots.
 type Pacer struct {
 	// Policy parameters, fixed at construction.
 	generational bool
@@ -38,14 +36,16 @@ type Pacer struct {
 	initialTgt   int64
 	headroom     int64
 
-	// young counts bytes allocated since the last collection (the
-	// §3.3 partial trigger).
+	// h is the heap whose allocated total the watermarks read.
+	h *heap.Heap
+
+	// young counts requested bytes allocated since the last collection
+	// (the §3.3 partial trigger).
 	young atomic.Int64
 
-	// occupancy is the allocated-bytes estimate: incremented by
-	// NoteAlloc, resynchronized from the heap's shard counters at
-	// every reconcile point.
-	occupancy atomic.Int64
+	// settled is the heap's allocated total at the last cycle end less
+	// the young bytes counted then; the triggers compare settled+young.
+	settled atomic.Int64
 
 	// fullTarget is the adaptive full-collection trigger: a full
 	// cycle is requested once allocated bytes reach it. It models the
@@ -87,12 +87,13 @@ type Pacer struct {
 const promotionAlpha = 0.3
 
 // newPacer derives the pacing policy from the configuration and the
-// actual (block-rounded) heap size.
-func newPacer(cfg Config, heapSize int) *Pacer {
+// heap's actual (block-rounded) size.
+func newPacer(cfg Config, h *heap.Heap) *Pacer {
 	p := &Pacer{
 		generational: cfg.Mode.IsGenerational(),
 		youngBytes:   int64(cfg.YoungBytes),
-		emergency:    int64(float64(heapSize) * cfg.FullThreshold),
+		emergency:    int64(float64(h.SizeBytes) * cfg.FullThreshold),
+		h:            h,
 		initialTgt:   int64(cfg.InitialTargetBytes),
 		headroom:     int64(cfg.HeadroomBytes),
 	}
@@ -101,12 +102,11 @@ func newPacer(cfg Config, heapSize int) *Pacer {
 	return p
 }
 
-// NoteAlloc records size freshly allocated bytes and returns the
-// collection, if any, that the allocation pushes due. Two atomic adds
-// and at most two atomic loads — no heap traversal, no locks.
-func (p *Pacer) NoteAlloc(size int) Trigger {
-	occ := p.occupancy.Add(int64(size))
-	young := p.young.Add(int64(size))
+// NoteAlloc records one publication's requested bytes and returns the
+// collection, if any, that it pushes due.
+func (p *Pacer) NoteAlloc(requested int64) Trigger {
+	young := p.young.Add(requested)
+	occ := p.settled.Load() + young
 	// Emergency bound: the heap is almost full regardless of mode.
 	if occ >= p.emergency {
 		return TriggerFull
@@ -138,36 +138,30 @@ func (p *Pacer) Target() int64 { return p.fullTarget.Load() }
 // the collector's staleness check for queued partial requests.
 func (p *Pacer) PartialDue() bool { return p.young.Load() >= p.youngBytes }
 
-// FullDue reports whether allocated bytes (the caller reads the real
-// counters, off the hot path) still warrant a full collection.
-func (p *Pacer) FullDue(allocated int64) bool {
-	return allocated >= p.fullTarget.Load()
-}
-
-// Reconcile resynchronizes the occupancy estimate with the heap's true
-// allocated bytes (summed from the per-shard counters by the caller).
-// Implemented as a delta add so concurrent NoteAlloc contributions
-// landing after the load are preserved rather than overwritten.
-func (p *Pacer) Reconcile(allocated int64) {
-	p.occupancy.Add(allocated - p.occupancy.Load())
+// FullDue reports whether the heap's allocated bytes still warrant a
+// full collection.
+func (p *Pacer) FullDue() bool {
+	return p.h.AllocatedBytes() >= p.fullTarget.Load()
 }
 
 // EndCycle retires one collection: the young bytes the cycle consumed
 // are subtracted (bytes allocated while it ran are young for the next
-// cycle), the occupancy estimate is reconciled, and after a full
-// collection the adaptive target is recomputed. For a partial it
-// reports whether the leftover — what the partial could not reclaim —
-// has grown past the target, i.e. a full collection is now due: the
-// "heap is almost full" trigger of §3.3 evaluated against the old
-// generation only.
-func (p *Pacer) EndCycle(youngAtStart, allocated int64, full bool) (fullDue bool) {
+// cycle), the trigger baseline is re-read from the heap's allocated
+// bytes, and after a full collection the adaptive target is recomputed
+// from them. For a partial it reports whether the leftover — what the
+// partial could not reclaim — has grown past the target, i.e. a full
+// collection is now due: the "heap is almost full" trigger of §3.3
+// evaluated against the old generation only.
+func (p *Pacer) EndCycle(youngAtStart int64, full bool) (fullDue bool) {
 	young := p.young.Add(-youngAtStart)
-	p.Reconcile(allocated)
+	allocated := p.h.AllocatedBytes()
+	old := allocated - young
+	p.settled.Store(old)
 	if full {
 		p.Retarget(allocated)
 		return false
 	}
-	return allocated-young >= p.fullTarget.Load()
+	return old >= p.fullTarget.Load()
 }
 
 // Retarget recomputes the adaptive full-collection target after a full
@@ -233,21 +227,15 @@ func (p *Pacer) PromotedBytes() int64 { return p.promotedBytes.Load() }
 // OldAge returns the current tenure threshold.
 func (p *Pacer) OldAge() int { return int(p.dynOldAge.Load()) }
 
-// Occupancy returns the pacer's current allocated-bytes estimate. It
-// can overshoot the true value between reconcile points (see the type
-// comment) — conservative in the right direction for a shed-before-OOM
-// watermark.
-func (p *Pacer) Occupancy() int64 { return p.occupancy.Load() }
-
-// OccupancyRatio returns occupancy as a fraction of the emergency
-// full-collection bound (FullThreshold·heap): 1.0 means the next
-// allocation trips the emergency trigger. The admission controller's
-// red-line watermark is expressed in this unit.
+// OccupancyRatio returns the heap's allocated bytes as a fraction of
+// the emergency full-collection bound (FullThreshold·heap), the unit of
+// the admission controller's red-line watermark. It lags the true
+// occupancy by at most the open allocation runs.
 func (p *Pacer) OccupancyRatio() float64 {
 	if p.emergency <= 0 {
 		return 0
 	}
-	return float64(p.occupancy.Load()) / float64(p.emergency)
+	return float64(p.h.AllocatedBytes()) / float64(p.emergency)
 }
 
 // NoteSlip records one allocation-deadline miss: an AllocCtx whose

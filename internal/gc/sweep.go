@@ -73,10 +73,9 @@ func (st *sweepState) mergeInto(c *Collector) {
 // flush returns the batched dead cells to the heap under one heap-lock
 // acquisition.
 func (st *sweepState) flush(c *Collector) {
-	if n := len(st.batch); n > 0 {
+	if len(st.batch) > 0 {
 		bytes := c.H.FreeBatch(st.batch)
 		st.bytesFreed += bytes
-		c.noteFreed(n, bytes)
 		st.batch = st.batch[:0]
 	}
 }

@@ -81,6 +81,10 @@ func TestTraceTermination(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// A thread that stops cooperating must detach: an allocation
+		// that ran out of memory may have started a collection of its
+		// own, which would otherwise wait on this mutator forever.
+		defer m.Detach()
 		for {
 			select {
 			case <-stop:

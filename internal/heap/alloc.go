@@ -5,27 +5,59 @@ import "sync/atomic"
 // Cache is a per-mutator allocation cache: one free-cell list per size
 // class, threaded through the first word of each (blue) cell. It is the
 // stand-in for the DLG thread-local allocation mechanism the paper
-// mentions in §7: the common allocation path takes no lock — and no
-// atomic read-modify-write either: the accounting for popped cells is
-// deferred in pendBlock/pendN and published in batches (see
-// publishAllocRun), so the steady-state cost per allocation is plain
-// loads and stores plus the object-initialization barrier.
+// mentions in §7: the common allocation path takes no lock and no
+// atomic read-modify-write. Popped cells are accounted in per-class run
+// words and published in batches (publishAllocRun), the heap's one
+// allocation-accounting path.
 type Cache struct {
+	_ [64]byte // keeps the owner-written fields off others' cache lines
+
 	head  [NumClasses]Addr
-	count [NumClasses]int
-	// The pending allocation run: pendN[c] cells of class c were popped
-	// from block pendBlock[c] and not yet folded into the shard and
-	// block counters. Publication happens when the pop stream crosses a
-	// block boundary, at refill, at Flush, and on demand via
-	// PublishAllocs. Block 0 never holds cells, so the zero value means
-	// "no run open".
-	pendBlock [NumClasses]uint32
-	pendN     [NumClasses]int32
+	count [NumClasses]int32
+
+	// run[c] is class c's open allocation run, packed as
+	// block<<runCountBits | cells popped and not yet published. A
+	// refill fills an empty list from one block, so every listed cell
+	// belongs to the run's block. Written only by the owner (or by
+	// PublishAllocs at quiescence).
+	run [NumClasses]atomic.Uint32
+
+	// requested sums the requested sizes of the small allocations not
+	// yet reported to the publish hook. Owner-private.
+	requested int64
+
+	_ [64]byte
+}
+
+// runCountBits is the width of a run word's cell count, enough for a
+// full block of the smallest class; the remaining 20 bits hold any
+// block index a 32-bit Addr can reach (2^32 / BlockSize).
+const (
+	runCountBits = 12
+	runCountMask = 1<<runCountBits - 1
+)
+
+// Unpublished returns the bytes and objects the cache has allocated but
+// not yet published into the heap's shard totals. Safe from any
+// goroutine while the owner allocates.
+func (c *Cache) Unpublished() (bytes, objects int64) {
+	for class := range c.run {
+		n := int64(c.run[class].Load() & runCountMask)
+		bytes += n * int64(classSizes[class])
+		objects += n
+	}
+	return bytes, objects
 }
 
 // refillBatch bounds how many free cells one refill moves from a block's
 // free list into a mutator cache.
 const refillBatch = 64
+
+// SetPublishHook registers fn to receive the requested bytes of every
+// publication — a cache's small allocations since its last one, or one
+// large object — on the publishing goroutine, outside every heap lock.
+// Set it before the first allocation.
+func (h *Heap) SetPublishHook(fn func(requested int64)) { h.onPublish = fn }
 
 // Alloc allocates an object with the given number of pointer slots and a
 // total payload of at least size bytes (the header is added on top), and
@@ -54,7 +86,11 @@ func (h *Heap) AllocBlue(c *Cache, slots int, size int) (Addr, error) {
 	}
 	class, cell := ClassFor(size)
 	if class < 0 {
-		return h.allocLarge(slots, cell)
+		addr, err := h.allocLarge(slots, cell)
+		if err == nil && h.onPublish != nil {
+			h.onPublish(int64(size))
+		}
+		return addr, err
 	}
 	if c.count[class] == 0 {
 		if err := h.refill(c, class); err != nil {
@@ -64,32 +100,33 @@ func (h *Heap) AllocBlue(c *Cache, slots int, size int) (Addr, error) {
 	addr := c.head[class]
 	c.head[class] = atomic.LoadUint32(&h.mem[addr/WordBytes])
 	c.count[class]--
-	if b := addr / BlockSize; b != c.pendBlock[class] {
-		h.publishAllocRun(c, class, b)
-	}
-	c.pendN[class]++
+	c.run[class].Store(c.run[class].Load() + 1)
+	c.requested += int64(size)
 	h.initObject(addr, slots)
 	return addr, nil
 }
 
-// publishAllocRun folds the cache's pending allocation run for class —
-// pendN cells popped from block pendBlock since the last publication —
-// into the shared counters, then restarts the run at newBlock. The
-// block and shard counters move by the same amount in one publication,
-// so the cached-vs-blocks reconcile holds at every publication
-// boundary; the allocation totals simply lag the true values by the
-// open runs (at most one block's worth of cells per class per cache)
-// until the next refill, Flush or PublishAllocs.
-func (h *Heap) publishAllocRun(c *Cache, class int, newBlock uint32) {
-	if n := c.pendN[class]; n != 0 {
-		h.blocks[c.pendBlock[class]].cached.Add(-n)
+// publishAllocRun folds the cache's open run for class into the block
+// and shard counters together, and reports the unreported requested
+// bytes to the publish hook. The counters are added before the run is
+// cleared: a concurrent Unpublished may count the run twice but never
+// misses it.
+func (h *Heap) publishAllocRun(c *Cache, class int) {
+	w := c.run[class].Load()
+	if n := w & runCountMask; n != 0 {
+		h.blocks[w>>runCountBits].cached.Add(-int32(n))
 		s := h.shardFor(class)
 		s.cached.Add(-int64(n))
 		s.allocatedBytes.Add(int64(n) * int64(classSizes[class]))
 		s.allocatedObjects.Add(int64(n))
-		c.pendN[class] = 0
+		c.run[class].Store(w - n)
 	}
-	c.pendBlock[class] = newBlock
+	if req := c.requested; req != 0 {
+		c.requested = 0
+		if h.onPublish != nil {
+			h.onPublish(req)
+		}
+	}
 }
 
 // PublishAllocs folds all of the cache's pending allocation accounting
@@ -100,7 +137,7 @@ func (h *Heap) publishAllocRun(c *Cache, class int, newBlock uint32) {
 // concurrently.
 func (h *Heap) PublishAllocs(c *Cache) {
 	for class := 0; class < NumClasses; class++ {
-		h.publishAllocRun(c, class, 0)
+		h.publishAllocRun(c, class)
 	}
 }
 
@@ -126,7 +163,7 @@ func (h *Heap) initObject(addr Addr, slots int) {
 // briefly inside takeFreeBlock when a new block is needed.
 func (h *Heap) refill(c *Cache, class int) error {
 	s := h.shardFor(class)
-	h.publishAllocRun(c, class, 0)
+	h.publishAllocRun(c, class)
 	s.lock()
 	defer s.unlock()
 	s.refills.Add(1)
@@ -136,7 +173,7 @@ func (h *Heap) refill(c *Cache, class int) error {
 		if n := len(list); n > 0 {
 			b := list[n-1]
 			bm := &h.blocks[b]
-			taken := h.takeCells(c, class, s, bm)
+			taken := h.takeCells(c, class, s, b)
 			if bm.freeCells == 0 {
 				h.partial[class] = list[:n-1]
 				bm.inPartial = false
@@ -157,23 +194,24 @@ func (h *Heap) refill(c *Cache, class int) error {
 	}
 }
 
-// takeCells moves up to refillBatch cells from the block's free list into
-// the cache. Caller holds the class shard lock s.
-func (h *Heap) takeCells(c *Cache, class int, s *centralShard, bm *blockMeta) int {
-	taken := 0
-	for bm.freeCells > 0 && taken < refillBatch {
-		addr := bm.freeHead
-		bm.freeHead = atomic.LoadUint32(&h.mem[addr/WordBytes])
-		bm.freeCells--
-		atomic.StoreUint32(&h.mem[addr/WordBytes], c.head[class])
-		c.head[class] = addr
-		taken++
+// takeCells moves up to refillBatch cells from block b's free list into
+// the cache's empty list and opens the class's run on b. Caller holds
+// the class shard lock s. The cells move as they are linked, unwritten:
+// the cache pops by count and never follows the last cell's link.
+func (h *Heap) takeCells(c *Cache, class int, s *centralShard, b uint32) int {
+	bm := &h.blocks[b]
+	taken := min(bm.freeCells, refillBatch)
+	c.head[class] = bm.freeHead
+	for i := int32(0); i < taken; i++ {
+		bm.freeHead = atomic.LoadUint32(&h.mem[bm.freeHead/WordBytes])
 	}
-	c.count[class] += taken
-	bm.cached.Add(int32(taken))
+	bm.freeCells -= taken
+	c.count[class] = taken
+	c.run[class].Store(b << runCountBits)
+	bm.cached.Add(taken)
 	s.cached.Add(int64(taken))
 	s.freeCells.Add(-int64(taken))
-	return taken
+	return int(taken)
 }
 
 // takeFreeBlock pops one unassigned block from the page pool and stamps
@@ -273,73 +311,43 @@ func (h *Heap) removeFreeBlocks(start, n int) {
 	h.pages.freeBlocks = out
 }
 
-// blockChain is one block's worth of cache cells being returned by a
-// flush: a pre-threaded sublist that splices into the block's free list
-// with two stores.
-type blockChain struct {
-	block uint32
-	head  Addr
-	tail  Addr
-	n     int32
-}
-
 // Flush returns all cells held in the cache to their blocks' free lists.
 // Called when a mutator detaches so its cached cells can be reused and
-// their blocks eventually reclaimed. Per class, the cells are bucketed
-// into per-block chains without any lock — the cells are private to the
-// cache, so rethreading their link words races with nothing — and then
-// spliced under one shard lock acquisition: O(blocks) lock work instead
-// of O(cells).
+// their blocks eventually reclaimed.
 func (h *Heap) Flush(c *Cache) {
 	for class := 0; class < NumClasses; class++ {
-		h.publishAllocRun(c, class, 0)
+		h.publishAllocRun(c, class)
 		if c.count[class] > 0 {
 			h.flushClass(c, class)
 		}
 	}
 }
 
+// flushClass splices the cache's list of class back onto its block's
+// free list. Every cell on the list belongs to the run's block, so the
+// splice is one lock-free walk to the list's tail, then two stores under
+// one shard lock acquisition.
 func (h *Heap) flushClass(c *Cache, class int) {
-	var chains []blockChain
-	for c.count[class] > 0 {
-		addr := c.head[class]
-		c.head[class] = atomic.LoadUint32(&h.mem[addr/WordBytes])
-		c.count[class]--
-		b := addr / BlockSize
-		var ch *blockChain
-		for i := range chains {
-			if chains[i].block == b {
-				ch = &chains[i]
-				break
-			}
-		}
-		if ch == nil {
-			chains = append(chains, blockChain{block: b, head: addr, tail: addr, n: 1})
-			continue
-		}
-		atomic.StoreUint32(&h.mem[addr/WordBytes], ch.head)
-		ch.head = addr
-		ch.n++
+	b, n := c.run[class].Load()>>runCountBits, c.count[class]
+	head, tail := c.head[class], c.head[class]
+	for i := int32(1); i < n; i++ {
+		tail = atomic.LoadUint32(&h.mem[tail/WordBytes])
 	}
-	total := int64(0)
+	c.count[class] = 0
+	bm := &h.blocks[b]
 	s := h.shardFor(class)
 	s.lock()
 	s.flushes.Add(1)
-	for i := range chains {
-		ch := &chains[i]
-		bm := &h.blocks[ch.block]
-		atomic.StoreUint32(&h.mem[ch.tail/WordBytes], bm.freeHead)
-		bm.freeHead = ch.head
-		bm.freeCells += ch.n
-		bm.cached.Add(-ch.n)
-		if !bm.inPartial {
-			h.partial[class] = append(h.partial[class], ch.block)
-			bm.inPartial = true
-		}
-		total += int64(ch.n)
+	atomic.StoreUint32(&h.mem[tail/WordBytes], bm.freeHead)
+	bm.freeHead = head
+	bm.freeCells += n
+	bm.cached.Add(-n)
+	if !bm.inPartial {
+		h.partial[class] = append(h.partial[class], b)
+		bm.inPartial = true
 	}
-	s.freeCells.Add(total)
-	s.cached.Add(-total)
+	s.freeCells.Add(int64(n))
+	s.cached.Add(-int64(n))
 	s.unlock()
 }
 

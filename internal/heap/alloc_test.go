@@ -541,3 +541,41 @@ func TestAllocBlueLeavesBlue(t *testing.T) {
 		t.Fatal("colored cell not valid")
 	}
 }
+
+// TestRunWordHoldsFullBlock: for every size class the cache's
+// unpublished-run word holds a full block of cells, even at the highest
+// block index a 32-bit address reaches, and a real allocation stream
+// through a whole block is accounted exactly by the shard totals plus
+// the open runs.
+func TestRunWordHoldsFullBlock(t *testing.T) {
+	maxBlock := uint32((1<<32 - 1) / BlockSize)
+	for class := 0; class < NumClasses; class++ {
+		cells := CellsPerBlock(class)
+		var c Cache
+		c.run[class].Store(maxBlock<<runCountBits + uint32(cells))
+		if got := c.run[class].Load() >> runCountBits; got != maxBlock {
+			t.Fatalf("class %d: block index %d decodes as %d", class, maxBlock, got)
+		}
+		bytes, objects := c.Unpublished()
+		if objects != int64(cells) || bytes != int64(cells*classSizes[class]) {
+			t.Fatalf("class %d: full block decodes as (%d objects, %d bytes), want (%d, %d)",
+				class, objects, bytes, cells, cells*classSizes[class])
+		}
+
+		h := newTestHeap(t, 1<<20)
+		var real Cache
+		for i := 0; i < cells; i++ {
+			if _, err := h.Alloc(&real, 0, classSizes[class], White); err != nil {
+				t.Fatal(err)
+			}
+			bytes, objects := real.Unpublished()
+			if got, want := h.AllocatedBytes()+bytes, int64((i+1)*classSizes[class]); got != want {
+				t.Fatalf("class %d after %d allocations: %d bytes accounted, want %d",
+					class, i+1, got, want)
+			}
+			if got := h.AllocatedObjects() + objects; got != int64(i+1) {
+				t.Fatalf("class %d after %d allocations: %d objects accounted", class, i+1, got)
+			}
+		}
+	}
+}

@@ -128,6 +128,9 @@ type Heap struct {
 	partial [NumClasses][]uint32 // blocks of a class with free cells
 	pages   pageAllocator
 
+	// onPublish is the publish hook (SetPublishHook), or nil.
+	onPublish func(requested int64)
+
 	// Touch instrumentation for the Figure 15 experiment; nil unless
 	// page tracking is enabled.
 	Pages *PageSet
@@ -187,12 +190,10 @@ func (h *Heap) NumBlocks() int { return h.nBlocks }
 // NumGranules returns the number of granules in the heap.
 func (h *Heap) NumGranules() int { return h.nGran }
 
-// AllocatedBytes returns the bytes currently allocated (live plus not yet
-// collected garbage), summed over the class shards and the large-object
-// pool; it drives the full-collection trigger. While mutators run the
-// value lags the truth by their caches' unpublished allocation runs —
-// bounded by one block's worth of cells per class per cache — and is
-// exact once every cache has published (refill, Flush, PublishAllocs).
+// AllocatedBytes returns the published allocated bytes (live plus not
+// yet collected garbage), summed over the class shards and the
+// large-object pool. It lags the truth by the live caches' open runs;
+// adding each cache's Unpublished makes it exact.
 func (h *Heap) AllocatedBytes() int64 {
 	total := h.pages.largeBytes.Load()
 	for i := range h.shards {
@@ -201,7 +202,8 @@ func (h *Heap) AllocatedBytes() int64 {
 	return total
 }
 
-// AllocatedObjects returns the number of currently allocated objects.
+// AllocatedObjects returns the published allocated object count; it
+// lags like AllocatedBytes.
 func (h *Heap) AllocatedObjects() int64 {
 	total := h.pages.largeObjects.Load()
 	for i := range h.shards {

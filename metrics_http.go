@@ -53,8 +53,8 @@ func (r *Runtime) writeMetrics(b *strings.Builder) {
 
 	counter(b, "gengc_cycles_total", "Completed collection cycles (partial and full).", s.Cycles)
 	counter(b, "gengc_full_cycles_total", "Completed full (whole-heap) collections.", s.Fulls)
-	gauge(b, "gengc_heap_bytes", "Live heap bytes after the last collection.", s.HeapBytes)
-	gauge(b, "gengc_heap_objects", "Live heap objects after the last collection.", s.HeapObjects)
+	gauge(b, "gengc_heap_bytes", "Allocated heap bytes, live plus uncollected garbage.", s.HeapBytes)
+	gauge(b, "gengc_heap_objects", "Allocated heap objects, live plus uncollected garbage.", s.HeapObjects)
 	counter(b, "gengc_stalls_total", "Handshake watchdog stall reports.", s.Stalls)
 	counter(b, "gengc_aborted_cycles_total", "Collection cycles abandoned mid-protocol.", s.AbortedCycles)
 	counter(b, "gengc_trace_drops_total", "Trace events dropped by saturated rings.", s.TraceDrops)
