@@ -49,44 +49,49 @@ perfbench-test:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
+# The report experiments of cmd/gcbench write BENCH_<experiment>.json
+# in one envelope (BENCHMARKS.md). Each reads the committed file first
+# and uses it as its baseline only when it came from a host with this
+# host's fingerprint; each exits 2 when a gate flags a regression.
+#
 # bench-json sweeps the allocation path over mutator counts (1/2/4/8)
 # and shard counts (single lock vs per-class) into BENCH_alloc.json,
 # then the write barrier over mutator counts × barrier modes × write
 # APIs into BENCH_barrier.json, then the telemetry surface (tracer +
 # flight recorder + pause SLO, on vs off, plus the scrape-vs-snapshot
-# agreement check) into BENCH_telemetry.json. The files embed their
-# baselines for before/after comparison and flag regressions.
+# agreement check) into BENCH_telemetry.json.
 bench-json:
-	$(GO) run ./cmd/gcbench -experiment alloc -benchjson BENCH_alloc.json
-	$(GO) run ./cmd/gcbench -experiment barrier -barrierjson BENCH_barrier.json
-	$(GO) run ./cmd/gcbench -experiment telemetry -telemetryjson BENCH_telemetry.json
+	$(GO) run ./cmd/gcbench -experiment alloc
+	$(GO) run ./cmd/gcbench -experiment barrier
+	$(GO) run ./cmd/gcbench -experiment telemetry
 
-# bench-matrix runs the full contention matrix (cmd/gcsweep): mutators
-# × collector workers × alloc shards × barrier mode × workload
-# contention (churn, Zipf-skewed, auction) into BENCH_matrix.json, with
-# interleaved passes, host-fingerprinted baseline comparison and
-# structural sanity checks (exit 2 on regressions — see BENCHMARKS.md
-# and EXPERIMENTS.md §4). The smoke variant is the seconds-long CI
-# subset of the same sweep.
+# bench-matrix runs the full contention matrix: mutators × collector
+# workers × alloc shards × barrier mode × workload contention (churn,
+# Zipf-skewed, auction) into BENCH_matrix.json, with interleaved
+# passes, the shape gate against a same-host baseline and structural
+# sanity checks (see BENCHMARKS.md and EXPERIMENTS.md §4). The smoke
+# variant is the seconds-long CI subset of the same sweep; it writes
+# BENCH_matrix-smoke.json and compares against the committed full
+# report.
 bench-matrix:
-	$(GO) run ./cmd/gcsweep -o BENCH_matrix.json
+	$(GO) run ./cmd/gcbench -experiment matrix
 
 bench-matrix-smoke:
-	$(GO) run ./cmd/gcsweep -smoke -o BENCH_matrix.json
+	$(GO) run ./cmd/gcbench -experiment matrix -smoke
 
-# bench-server runs the server-mode overload experiment (cmd/gcserve):
-# the request engine under an open-loop Poisson arrival sweep at
-# multiples of a capacity calibrated on this host, admission controller
-# on vs naive, into BENCH_server.json. The host-independent gate (exit
-# 2) requires the admitted legs to shed with bounded p99.9 and zero OOM
-# while the naive top-rate leg measurably breaches the SLO or OOMs —
-# see BENCHMARKS.md and EXPERIMENTS.md §5. The smoke variant is the
-# seconds-long CI subset (one underload + one overload pair).
+# bench-server runs the server-mode overload experiment: the request
+# engine under an open-loop Poisson arrival sweep at multiples of a
+# capacity calibrated on this host, admission controller on vs naive,
+# into BENCH_server.json. The host-independent gate requires the
+# admitted legs to shed with bounded p99.9 and zero OOM while the naive
+# top-rate leg measurably breaches the SLO or OOMs — see BENCHMARKS.md
+# and EXPERIMENTS.md §5. The smoke variant is the seconds-long CI subset
+# (one underload + one overload pair) into BENCH_server-smoke.json.
 bench-server:
-	$(GO) run ./cmd/gcserve -o BENCH_server.json
+	$(GO) run ./cmd/gcbench -experiment server
 
 bench-server-smoke:
-	$(GO) run ./cmd/gcserve -smoke -o BENCH_server.json
+	$(GO) run ./cmd/gcbench -experiment server -smoke
 
 # verify-protocol runs the deterministic protocol-verification harness
 # (cmd/gcverify, internal/modelcheck). Positive leg: every named

@@ -1,64 +1,49 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
+	"gengc/internal/bench"
 	"gengc/internal/heap"
 )
 
-// preShardingBaselineNs is the BenchmarkAllocParallel ns/op measured on
-// the global-heap-lock allocator (single mutex around every refill,
-// flush and free) immediately before the tiered lock-sharded allocation
-// path landed, on the reference container (1 CPU, GOMAXPROCS=1,
-// go test -bench AllocParallel -count 3, means). Kept in the report so
-// every future BENCH_alloc.json carries the before/after trajectory.
-var preShardingBaselineNs = map[string]float64{
-	"1": 88.8,
-	"2": 87.2,
-	"4": 85.1,
-	"8": 86.8,
+// workloadRun is the run-wide record of the alloc and barrier reports:
+// which loop was measured.
+type workloadRun struct {
+	Workload string `json:"workload"`
 }
 
-// allocRun is one measured configuration of the mutator-count sweep.
-type allocRun struct {
+// allocCell is one measured configuration of the mutator-count sweep.
+type allocCell struct {
 	Mutators int     `json:"mutators"`
 	Shards   int     `json:"shards"`
 	NsPerOp  float64 `json:"ns_per_op"`
 	Iters    int     `json:"iterations"`
 }
 
-// allocReport is the BENCH_alloc.json schema.
-type allocReport struct {
-	Generated       string             `json:"generated"`
-	GoMaxProcs      int                `json:"gomaxprocs"`
-	NumCPU          int                `json:"numcpu"`
-	Workload        string             `json:"workload"`
-	BaselineNsPerOp map[string]float64 `json:"baseline_ns_per_op_global_lock"`
-	Runs            []allocRun         `json:"runs"`
-}
+type allocReport = bench.Report[workloadRun, allocCell]
 
 // allocExperiment sweeps the AllocChurn workload over mutator counts
 // (1/2/4/8) and shard counts (1 = the old single central lock, and the
-// per-class default), prints the table, and writes the machine-readable
-// sweep to jsonPath so successive changes leave a perf trajectory.
-func allocExperiment(w io.Writer, jsonPath string) error {
+// per-class default) and prints the table beside base, the committed
+// report from this host. There is no gate: the report is the allocation
+// path's perf trajectory.
+func allocExperiment(w io.Writer, base *allocReport) (*allocReport, error) {
 	mutCounts := []int{1, 2, 4, 8}
 	shardCounts := []int{1, heap.NumClasses}
-	rep := allocReport{
-		Generated:       time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Workload:        "heap.AllocChurn: mixed size classes, window=256, FreeBatch recycling",
-		BaselineNsPerOp: preShardingBaselineNs,
+	rep := bench.NewReport[workloadRun, allocCell]("alloc", workloadRun{
+		Workload: "heap.AllocChurn: mixed size classes, window=256, FreeBatch recycling",
+	})
+	baseNs := map[[2]int]float64{}
+	if base != nil {
+		for _, c := range base.Cells {
+			baseNs[[2]int{c.Mutators, c.Shards}] = c.NsPerOp
+		}
 	}
-	fmt.Fprintf(w, "Allocation-path sweep (ns/op, AllocChurn; baseline = pre-sharding global lock)\n")
+	fmt.Fprintf(w, "Allocation-path sweep (ns/op, AllocChurn; baseline = the committed report from this host)\n")
 	fmt.Fprintf(w, "%-9s %-8s %12s %12s\n", "mutators", "shards", "ns/op", "baseline")
 	for _, shards := range shardCounts {
 		for _, muts := range mutCounts {
@@ -87,30 +72,21 @@ func allocExperiment(w io.Writer, jsonPath string) error {
 				}
 			})
 			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			rep.Runs = append(rep.Runs, allocRun{
+			rep.Cells = append(rep.Cells, allocCell{
 				Mutators: muts, Shards: shards, NsPerOp: ns, Iters: r.N,
 			})
-			base := ""
-			if shards == heap.NumClasses {
-				base = fmt.Sprintf("%12.1f", preShardingBaselineNs[fmt.Sprint(muts)])
-			}
-			fmt.Fprintf(w, "%-9d %-8d %12.1f %s\n", muts, shards, ns, base)
+			fmt.Fprintf(w, "%-9d %-8d %12.1f %s\n", muts, shards, ns, baselineColumn(baseNs[[2]int{muts, shards}]))
 		}
 	}
 	fmt.Fprintln(w)
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
+	return rep, nil
+}
+
+// baselineColumn formats a baseline ns/op, blank when the baseline has
+// no such cell (a zero map value).
+func baselineColumn(ns float64) string {
+	if ns == 0 {
+		return ""
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "alloc sweep written to %s\n\n", jsonPath)
-	return nil
+	return fmt.Sprintf("%12.1f", ns)
 }

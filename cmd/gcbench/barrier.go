@@ -1,35 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
-	"time"
 
 	"gengc"
+	"gengc/internal/bench"
 	"gengc/internal/workload"
 )
 
-// preBatchingBaselineNs is the eager-barrier churn ns/op (Write loop,
-// generational mode) measured immediately before the batched write
-// barrier and the word-at-a-time card scan landed, on the reference
-// container (1 CPU, GOMAXPROCS=1). Kept in the report so every future
-// BENCH_barrier.json carries the before/after trajectory, exactly like
-// BENCH_alloc.json's pre-sharding baseline.
-var preBatchingBaselineNs = map[string]float64{
-	"1": 307.6,
-	"2": 376.2,
-	"4": 333.2,
-	"8": 311.3,
-}
-
-// barrierRun is one measured configuration of the barrier sweep.
-type barrierRun struct {
+// barrierCell is one measured configuration of the barrier sweep.
+type barrierCell struct {
 	Mutators int     `json:"mutators"`
 	Barrier  string  `json:"barrier"`
 	API      string  `json:"api"`
@@ -37,16 +22,7 @@ type barrierRun struct {
 	Iters    int     `json:"iterations"`
 }
 
-// barrierReport is the BENCH_barrier.json schema.
-type barrierReport struct {
-	Generated       string             `json:"generated"`
-	GoMaxProcs      int                `json:"gomaxprocs"`
-	NumCPU          int                `json:"numcpu"`
-	Workload        string             `json:"workload"`
-	BaselineNsPerOp map[string]float64 `json:"baseline_ns_per_op_eager_loop"`
-	Runs            []barrierRun       `json:"runs"`
-	Regressions     []string           `json:"regressions"`
-}
+type barrierReport = bench.Report[workloadRun, barrierCell]
 
 // barrierMutCounts is the mutator sweep of the barrier experiment.
 var barrierMutCounts = []int{1, 2, 4, 8}
@@ -92,10 +68,10 @@ func runBarrierChurn(muts int, barrier gengc.BarrierMode, useBatch bool) testing
 }
 
 // barrierExperiment sweeps the pointer-write-heavy churn workload over
-// mutator counts for each barrier mode and write API, prints the table,
-// and writes the machine-readable sweep (with the embedded pre-change
-// baseline and any regressions flagged) to jsonPath.
-func barrierExperiment(w io.Writer, jsonPath string) error {
+// mutator counts for each barrier mode and write API, prints the table
+// beside base (the committed report from this host, or nil), and gates
+// the result with barrierGate.
+func barrierExperiment(w io.Writer, base *barrierReport) (*barrierReport, error) {
 	// The host runtime's own collector would inject pauses into the
 	// measurement (workload.Run does the same for the profile runs).
 	prevGC := debug.SetGCPercent(-1)
@@ -104,14 +80,15 @@ func barrierExperiment(w io.Writer, jsonPath string) error {
 		runtime.GC()
 	}()
 
-	rep := barrierReport{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+	rep := bench.NewReport[workloadRun, barrierCell]("barrier", workloadRun{
 		Workload: "workload.BarrierChurn: 1 alloc + 8 pointer stores into an old base object " +
 			"+ 1 safepoint per op, generational mode, 64MB heap, 2MB young",
-		BaselineNsPerOp: preBatchingBaselineNs,
+	})
+	var baseCells []barrierCell
+	if base != nil {
+		baseCells = base.Cells
 	}
+	baseEager := eagerLoopNs(baseCells)
 	configs := []struct {
 		barrier  gengc.BarrierMode
 		useBatch bool
@@ -121,9 +98,8 @@ func barrierExperiment(w io.Writer, jsonPath string) error {
 		{gengc.BarrierBatched, false},
 		{gengc.BarrierBatched, true},
 	}
-	fmt.Fprintf(w, "Write-barrier sweep (ns/op, BarrierChurn; baseline = pre-batching eager Write loop)\n")
+	fmt.Fprintf(w, "Write-barrier sweep (ns/op, BarrierChurn; baseline = the committed eager Write loop from this host)\n")
 	fmt.Fprintf(w, "%-9s %-9s %-6s %12s %12s\n", "mutators", "barrier", "api", "ns/op", "baseline")
-	eagerLoop := map[int]float64{}
 	for _, muts := range barrierMutCounts {
 		for _, cfg := range configs {
 			api := "loop"
@@ -132,62 +108,58 @@ func barrierExperiment(w io.Writer, jsonPath string) error {
 			}
 			r := runBarrierChurn(muts, cfg.barrier, cfg.useBatch)
 			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			rep.Runs = append(rep.Runs, barrierRun{
+			rep.Cells = append(rep.Cells, barrierCell{
 				Mutators: muts, Barrier: cfg.barrier.String(), API: api,
 				NsPerOp: ns, Iters: r.N,
 			})
+			col := ""
 			if cfg.barrier == gengc.BarrierEager && !cfg.useBatch {
-				eagerLoop[muts] = ns
+				col = baselineColumn(baseEager[muts])
 			}
-			base := ""
-			if b, ok := preBatchingBaselineNs[fmt.Sprint(muts)]; ok && cfg.barrier == gengc.BarrierEager && !cfg.useBatch {
-				base = fmt.Sprintf("%12.1f", b)
-			}
-			fmt.Fprintf(w, "%-9d %-9s %-6s %12.1f %s\n", muts, cfg.barrier, api, ns, base)
-		}
-	}
-	// Flag — never fail on — configurations where the redesign lost
-	// ground: the batched Write loop slower than the eager one at the
-	// same mutator count by more than 5%, or today's eager loop slower
-	// than the embedded pre-change baseline by more than 10% (the
-	// eager path was supposed to be untouched; noise margin is wider
-	// because the baseline is from an earlier process).
-	for _, run := range rep.Runs {
-		if run.Barrier == "batched" && run.API == "loop" {
-			if e, ok := eagerLoop[run.Mutators]; ok && run.NsPerOp > e*1.05 {
-				rep.Regressions = append(rep.Regressions, fmt.Sprintf(
-					"batched/loop at %d mutators: %.1f ns/op vs eager %.1f (+%.1f%%)",
-					run.Mutators, run.NsPerOp, e, (run.NsPerOp/e-1)*100))
-			}
-		}
-		if run.Barrier == "eager" && run.API == "loop" {
-			if b, ok := preBatchingBaselineNs[fmt.Sprint(run.Mutators)]; ok && run.NsPerOp > b*1.10 {
-				rep.Regressions = append(rep.Regressions, fmt.Sprintf(
-					"eager/loop at %d mutators: %.1f ns/op vs pre-change baseline %.1f (+%.1f%%)",
-					run.Mutators, run.NsPerOp, b, (run.NsPerOp/b-1)*100))
-			}
+			fmt.Fprintf(w, "%-9d %-9s %-6s %12.1f %s\n", muts, cfg.barrier, api, ns, col)
 		}
 	}
 	fmt.Fprintln(w)
-	for _, reg := range rep.Regressions {
-		fmt.Fprintf(w, "regression: %s\n", reg)
+	rep.Regressions = barrierGate(rep.Cells, baseCells)
+	return rep, nil
+}
+
+// eagerLoopNs maps mutator count to the eager Write loop's ns/op.
+func eagerLoopNs(cells []barrierCell) map[int]float64 {
+	m := map[int]float64{}
+	for _, c := range cells {
+		if c.Barrier == "eager" && c.API == "loop" {
+			m[c.Mutators] = c.NsPerOp
+		}
 	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
+	return m
+}
+
+// barrierGate flags configurations where the batched redesign lost
+// ground: the batched Write loop more than 5% slower than the eager one
+// at the same mutator count in the same run (host speed cancels), or
+// the eager loop more than 10% slower than in base, the committed
+// report from a host with the same fingerprint (the eager path is
+// supposed to stay untouched; the margin is wider because the baseline
+// is from an earlier process). base is nil when there is no such
+// report; then only the same-run check applies.
+func barrierGate(cells, base []barrierCell) []string {
+	var bad []string
+	eager, baseEager := eagerLoopNs(cells), eagerLoopNs(base)
+	for _, c := range cells {
+		if c.API != "loop" {
+			continue
+		}
+		if e, ok := eager[c.Mutators]; ok && c.Barrier == "batched" && c.NsPerOp > e*1.05 {
+			bad = append(bad, fmt.Sprintf(
+				"batched/loop at %d mutators: %.1f ns/op vs eager %.1f (+%.1f%%)",
+				c.Mutators, c.NsPerOp, e, (c.NsPerOp/e-1)*100))
+		}
+		if b, ok := baseEager[c.Mutators]; ok && c.Barrier == "eager" && c.NsPerOp > b*1.10 {
+			bad = append(bad, fmt.Sprintf(
+				"eager/loop at %d mutators: %.1f ns/op vs baseline %.1f (+%.1f%%)",
+				c.Mutators, c.NsPerOp, b, (c.NsPerOp/b-1)*100))
+		}
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "barrier sweep written to %s\n\n", jsonPath)
-	if len(rep.Regressions) > 0 {
-		return fmt.Errorf("barrier sweep: %w", errRegression)
-	}
-	return nil
+	return bad
 }

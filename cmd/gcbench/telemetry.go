@@ -2,20 +2,18 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"gengc"
+	"gengc/internal/bench"
 	"gengc/internal/workload"
 )
 
@@ -25,13 +23,14 @@ import (
 // path, so the hot loops should pay almost nothing.
 const telemetryOverheadLimitPct = 3.0
 
-// telemetryRun is one measured configuration of the telemetry overhead
-// comparison.
-type telemetryRun struct {
-	Mutators  int     `json:"mutators"`
-	Telemetry string  `json:"telemetry"` // "off" or "on"
-	NsPerOp   float64 `json:"ns_per_op"`
-	Iters     int     `json:"iterations"`
+// telemetryCell is one mutator count of the telemetry overhead
+// comparison: paired medians with the surface off and armed.
+type telemetryCell struct {
+	Mutators    int     `json:"mutators"`
+	OffNsPerOp  float64 `json:"off_ns_per_op"`
+	OnNsPerOp   float64 `json:"on_ns_per_op"`
+	OverheadPct float64 `json:"overhead_pct"`
+	Iters       int     `json:"iterations"`
 }
 
 // scrapeAgreement records the scrape-vs-snapshot cross-check: the same
@@ -46,17 +45,14 @@ type scrapeAgreement struct {
 	Agrees         bool    `json:"agrees"`
 }
 
-// telemetryReport is the BENCH_telemetry.json schema.
-type telemetryReport struct {
-	Generated   string             `json:"generated"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	NumCPU      int                `json:"numcpu"`
-	Workload    string             `json:"workload"`
-	Runs        []telemetryRun     `json:"runs"`
-	OverheadPct map[string]float64 `json:"overhead_pct"`
-	Scrape      scrapeAgreement    `json:"scrape_agreement"`
-	Regressions []string           `json:"regressions"`
+// telemetryRun is the telemetry report's run-wide record: the measured
+// loop and the scrape-vs-snapshot cross-check.
+type telemetryRun struct {
+	Workload string          `json:"workload"`
+	Scrape   scrapeAgreement `json:"scrape_agreement"`
 }
+
+type telemetryReport = bench.Report[telemetryRun, telemetryCell]
 
 // runTelemetryChurn times one fixed-work churn run (total ops split
 // across muts mutators) with the telemetry surface fully armed or
@@ -104,16 +100,6 @@ func runTelemetryChurn(muts, total int, armed bool) (float64, error) {
 		return 0, err
 	}
 	return float64(elapsed.Nanoseconds()) / float64(per*muts), nil
-}
-
-// median returns the median of xs, which it sorts in place.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // scrapeMetric extracts the value of one sample line (exact name or
@@ -206,24 +192,21 @@ func checkScrapeAgreement(muts, ops int) (scrapeAgreement, error) {
 
 // telemetryExperiment measures what the armed telemetry surface costs
 // the churn workload, cross-checks the Prometheus exposition against
-// Snapshot, and writes BENCH_telemetry.json. Overhead beyond the 3%
-// acceptance bound or a scrape disagreement is flagged as a regression
-// in the report and surfaces as the regression exit code.
-func telemetryExperiment(w io.Writer, jsonPath string) error {
+// Snapshot, and gates both with telemetryGate. Both checks pair two
+// configurations within this run, so the committed report is not read
+// as a baseline.
+func telemetryExperiment(w io.Writer) (*telemetryReport, error) {
 	prevGC := debug.SetGCPercent(-1)
 	defer func() {
 		debug.SetGCPercent(prevGC)
 		runtime.GC()
 	}()
 
-	rep := telemetryReport{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+	rep := bench.NewReport[telemetryRun, telemetryCell]("telemetry", telemetryRun{
 		Workload: "workload.BarrierChurn: 1 alloc + 8 pointer stores + 1 safepoint per op, " +
 			"generational mode, 64MB heap, 2MB young; on = flight recorder(256) + pause SLO",
-		OverheadPct: map[string]float64{},
-	}
+	})
+	rep.BaselineComparison = "none: both gates compare paired legs within this run"
 	fmt.Fprintf(w, "Telemetry overhead (ns/op, BarrierChurn; on = tracer + flight recorder + SLO)\n")
 	fmt.Fprintf(w, "%-9s %12s %12s %10s\n", "mutators", "off", "on", "overhead")
 	const totalOps = 2_000_000
@@ -238,7 +221,7 @@ func telemetryExperiment(w io.Writer, jsonPath string) error {
 		// first-touch cost.
 		const pairs = 5
 		if _, err := runTelemetryChurn(muts, totalOps, false); err != nil {
-			return err
+			return nil, err
 		}
 		offs := make([]float64, 0, pairs)
 		ons := make([]float64, 0, pairs)
@@ -246,7 +229,7 @@ func telemetryExperiment(w io.Writer, jsonPath string) error {
 			for _, armed := range []bool{i%2 == 0, i%2 != 0} {
 				ns, err := runTelemetryChurn(muts, totalOps, armed)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if armed {
 					ons = append(ons, ns)
@@ -255,53 +238,37 @@ func telemetryExperiment(w io.Writer, jsonPath string) error {
 				}
 			}
 		}
-		offNs, onNs := median(offs), median(ons)
-		pct := (onNs/offNs - 1) * 100
-		rep.Runs = append(rep.Runs,
-			telemetryRun{Mutators: muts, Telemetry: "off", NsPerOp: offNs, Iters: totalOps},
-			telemetryRun{Mutators: muts, Telemetry: "on", NsPerOp: onNs, Iters: totalOps})
-		rep.OverheadPct[fmt.Sprint(muts)] = pct
-		fmt.Fprintf(w, "%-9d %12.1f %12.1f %9.1f%%\n", muts, offNs, onNs, pct)
-		if pct > telemetryOverheadLimitPct {
-			rep.Regressions = append(rep.Regressions, fmt.Sprintf(
-				"telemetry overhead at %d mutators: %.1f%% > %.1f%% bound (off %.1f ns/op, on %.1f)",
-				muts, pct, telemetryOverheadLimitPct, offNs, onNs))
-		}
+		c := telemetryCell{Mutators: muts, OffNsPerOp: bench.Median(offs), OnNsPerOp: bench.Median(ons), Iters: totalOps}
+		c.OverheadPct = (c.OnNsPerOp/c.OffNsPerOp - 1) * 100
+		rep.Cells = append(rep.Cells, c)
+		fmt.Fprintf(w, "%-9d %12.1f %12.1f %9.1f%%\n", muts, c.OffNsPerOp, c.OnNsPerOp, c.OverheadPct)
 	}
 
 	ag, err := checkScrapeAgreement(4, 50_000)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep.Scrape = ag
-	fmt.Fprintf(w, "scrape agreement: cycles %d/%d promoted %d/%d p99 %gs/%gs -> %v\n",
+	rep.Run.Scrape = ag
+	fmt.Fprintf(w, "scrape agreement: cycles %d/%d promoted %d/%d p99 %gs/%gs -> %v\n\n",
 		ag.ScrapedCycles, ag.Cycles, ag.ScrapedPromote, ag.Promoted,
 		ag.ScrapedP99, ag.P99Seconds, ag.Agrees)
-	if !ag.Agrees {
-		rep.Regressions = append(rep.Regressions,
-			"quiescent /metrics scrape disagrees with Runtime.Snapshot()")
-	}
+	rep.Regressions = telemetryGate(rep.Cells, ag)
+	return rep, nil
+}
 
-	fmt.Fprintln(w)
-	for _, reg := range rep.Regressions {
-		fmt.Fprintf(w, "regression: %s\n", reg)
+// telemetryGate flags armed overhead beyond the acceptance bound at any
+// mutator count, and a quiescent scrape that disagrees with Snapshot.
+func telemetryGate(cells []telemetryCell, ag scrapeAgreement) []string {
+	var bad []string
+	for _, c := range cells {
+		if c.OverheadPct > telemetryOverheadLimitPct {
+			bad = append(bad, fmt.Sprintf(
+				"telemetry overhead at %d mutators: %.1f%% > %.1f%% bound (off %.1f ns/op, on %.1f)",
+				c.Mutators, c.OverheadPct, telemetryOverheadLimitPct, c.OffNsPerOp, c.OnNsPerOp))
+		}
 	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
+	if !ag.Agrees {
+		bad = append(bad, "quiescent /metrics scrape disagrees with Runtime.Snapshot()")
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "telemetry sweep written to %s\n\n", jsonPath)
-	if len(rep.Regressions) > 0 {
-		return fmt.Errorf("telemetry sweep: %w", errRegression)
-	}
-	return nil
+	return bad
 }

@@ -32,18 +32,6 @@ import (
 	"gengc/internal/server"
 )
 
-func parseMode(s string) (gengc.Mode, error) {
-	switch s {
-	case "non", "nongen", "non-generational":
-		return gengc.NonGenerational, nil
-	case "gen", "generational", "simple":
-		return gengc.Generational, nil
-	case "aging":
-		return gengc.GenerationalAging, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (non|gen|aging)", s)
-}
-
 // schedule is one named fault configuration plus its post-run
 // expectations.
 type schedule struct {
@@ -540,8 +528,12 @@ func runServerStorm(seed int64, mode gengc.Mode, workers int) []string {
 }
 
 func main() {
+	mode := gengc.Generational
+	flag.Func("mode", "collector: non|gen|aging (default gen)", func(s string) (err error) {
+		mode, err = gengc.ParseMode(s)
+		return err
+	})
 	var (
-		modeStr  = flag.String("mode", "gen", "collector: non|gen|aging")
 		seed     = flag.Int64("seed", 1, "campaign seed (the whole fault schedule derives from it)")
 		mutators = flag.Int("mutators", 4, "mutator goroutines per schedule")
 		rounds   = flag.Int("rounds", 2, "churn+audit rounds per schedule")
@@ -550,10 +542,6 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-point injection statistics")
 	)
 	flag.Parse()
-	mode, err := parseMode(*modeStr)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("gcchaos: seed=%d mode=%s mutators=%d rounds=%d ops=%d\n",
 		*seed, mode, *mutators, *rounds, *ops)

@@ -37,10 +37,14 @@ import (
 )
 
 func main() {
+	mode := gengc.Generational
+	flag.Func("mode", "collector: non|gen|aging (default gen)", func(s string) (err error) {
+		mode, err = gengc.ParseMode(s)
+		return err
+	})
 	var (
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
 		conns   = flag.Int("maxconns", 64, "maximum simultaneous HTTP connections")
-		modeStr = flag.String("mode", "gen", "collector: non|gen|aging")
 		threads = flag.Int("threads", 4, "churn mutator threads")
 		workers = flag.Int("workers", 1, "parallel collector workers")
 		youngMB = flag.Int("young", 4, "young generation size in MB")
@@ -48,18 +52,6 @@ func main() {
 		slo     = flag.Duration("slo", 0, "pause SLO (0 disables; breaches trigger dumps)")
 	)
 	flag.Parse()
-
-	var mode gengc.Mode
-	switch *modeStr {
-	case "non":
-		mode = gengc.NonGenerational
-	case "gen":
-		mode = gengc.Generational
-	case "aging":
-		mode = gengc.GenerationalAging
-	default:
-		log.Fatalf("unknown mode %q", *modeStr)
-	}
 
 	rt, err := gengc.New(
 		gengc.WithMode(mode),

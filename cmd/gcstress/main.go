@@ -18,21 +18,13 @@ import (
 	"gengc"
 )
 
-func parseMode(s string) (gengc.Mode, error) {
-	switch s {
-	case "non", "nongen", "non-generational":
-		return gengc.NonGenerational, nil
-	case "gen", "generational", "simple":
-		return gengc.Generational, nil
-	case "aging":
-		return gengc.GenerationalAging, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (non|gen|aging)", s)
-}
-
 func main() {
+	mode := gengc.Generational
+	flag.Func("mode", "collector: non|gen|aging (default gen)", func(s string) (err error) {
+		mode, err = gengc.ParseMode(s)
+		return err
+	})
 	var (
-		modeStr     = flag.String("mode", "gen", "collector: non|gen|aging")
 		threads     = flag.Int("threads", 4, "mutator goroutines")
 		ops         = flag.Int("ops", 500000, "operations per mutator")
 		heapMB      = flag.Int("heap", 16, "heap size in MB")
@@ -49,10 +41,6 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, err := parseMode(*modeStr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opts := []gengc.Option{
 		gengc.WithMode(mode),
 		gengc.WithHeapBytes(*heapMB << 20),

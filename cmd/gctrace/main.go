@@ -19,10 +19,18 @@ import (
 )
 
 func main() {
+	mode := gengc.Generational
+	flag.Func("mode", "collector: non|gen|aging (default gen)", func(s string) (err error) {
+		mode, err = gengc.ParseMode(s)
+		return err
+	})
+	barrier := gengc.BarrierEager
+	flag.Func("barrier", "write barrier: eager|batched (default eager)", func(s string) (err error) {
+		barrier, err = gengc.ParseBarrierMode(s)
+		return err
+	})
 	var (
 		profile  = flag.String("profile", "Anagram", "workload profile")
-		modeStr  = flag.String("mode", "gen", "collector: non|gen|aging")
-		barrStr  = flag.String("barrier", "eager", "write barrier: eager|batched")
 		scale    = flag.Float64("scale", 0.5, "run-length multiplier")
 		cardSize = flag.Int("card", 16, "card size in bytes")
 		youngMB  = flag.Int("young", 4, "young generation size in MB")
@@ -42,28 +50,6 @@ func main() {
 				100*p.SurvivorFrac, 100*p.OldUpdateFrac)
 		}
 		return
-	}
-
-	var mode gengc.Mode
-	switch *modeStr {
-	case "non":
-		mode = gengc.NonGenerational
-	case "gen":
-		mode = gengc.Generational
-	case "aging":
-		mode = gengc.GenerationalAging
-	default:
-		log.Fatalf("unknown mode %q", *modeStr)
-	}
-
-	var barrier gengc.BarrierMode
-	switch *barrStr {
-	case "eager":
-		barrier = gengc.BarrierEager
-	case "batched":
-		barrier = gengc.BarrierBatched
-	default:
-		log.Fatalf("unknown barrier %q", *barrStr)
 	}
 
 	p, ok := workload.ByName(*profile)

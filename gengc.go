@@ -84,6 +84,10 @@ const (
 	GenerationalAging = gc.GenerationalAging
 )
 
+// ParseMode parses a collector name as Mode.String returns it, or one
+// of the short forms non, nongen, gen, simple and aging.
+func ParseMode(s string) (Mode, error) { return gc.ParseMode(s) }
+
 // BarrierMode selects the write-barrier implementation (see
 // WithBarrier): eager per-store shading and card marking, or
 // per-mutator buffers drained at safe points.
@@ -99,6 +103,10 @@ const (
 	// modes"); faster on pointer-write-heavy workloads.
 	BarrierBatched = gc.BarrierBatched
 )
+
+// ParseBarrierMode parses a barrier name as BarrierMode.String
+// returns it (eager or batched).
+func ParseBarrierMode(s string) (BarrierMode, error) { return gc.ParseBarrierMode(s) }
 
 // BarrierStats is the write barrier's counter snapshot (see
 // Snapshot.Barrier): buffer flushes, stores that went through the

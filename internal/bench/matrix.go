@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,52 +14,13 @@ import (
 	"gengc/internal/workload"
 )
 
-// This file is the contention-matrix harness behind cmd/gcsweep: one
-// sweep over mutators × collector Workers × AllocShards × barrier mode
-// × workload contention level, producing the versioned BENCH_matrix.json
-// report (schema: BENCHMARKS.md). The sweep exists to answer the
+// This file is the contention-matrix harness behind gcbench -experiment
+// matrix: one sweep over mutators × collector Workers × AllocShards ×
+// barrier mode × workload contention level, producing BENCH_matrix.json
+// (schema: BENCHMARKS.md). The sweep exists to answer the
 // question the single-experiment harnesses cannot: how the sharded
 // allocator, the batched barrier and the card table behave as skewed
 // pointer-mutation traffic and thread counts rise together.
-
-// MatrixSchema identifies the BENCH_matrix.json format; bump
-// MatrixSchemaVersion on any incompatible field change and record the
-// change in BENCHMARKS.md.
-const (
-	MatrixSchema        = "gengc/bench-matrix"
-	MatrixSchemaVersion = 1
-)
-
-// HostMeta is the host-metadata stanza stamped into every matrix
-// report. Fingerprint determines baseline comparability: ns/op numbers
-// from hosts with different parallelism or architecture are not
-// comparable, so regression checks refuse to run across fingerprints.
-type HostMeta struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-}
-
-// CurrentHost captures the running host's metadata.
-func CurrentHost() HostMeta {
-	return HostMeta{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-}
-
-// Fingerprint is the baseline-matching key: platform and parallelism,
-// but not the Go toolchain patch level (minor toolchain drift moves
-// ns/op far less than the regression tolerance; the full go version is
-// still recorded in the report for the reader).
-func (h HostMeta) Fingerprint() string {
-	return fmt.Sprintf("%s/%s gomaxprocs=%d numcpu=%d", h.GOOS, h.GOARCH, h.GoMaxProcs, h.NumCPU)
-}
 
 // MatrixVariant is one workload leg of the sweep: a named profile at a
 // named contention level. NewRun builds the per-thread run function;
@@ -148,8 +111,8 @@ type MatrixSpec struct {
 	// its passes.
 	Passes int
 
-	Seed                  int64
-	HeapBytes, YoungBytes int
+	Seed       int64
+	YoungBytes int
 
 	// Progress receives one line per completed cell pass (nil = quiet).
 	Progress func(string)
@@ -168,9 +131,6 @@ func (s MatrixSpec) withDefaults() MatrixSpec {
 	if s.Seed == 0 {
 		s.Seed = 20000620 // PLDI 2000
 	}
-	if s.HeapBytes == 0 {
-		s.HeapBytes = 32 << 20
-	}
 	if s.YoungBytes == 0 {
 		s.YoungBytes = 1 << 20
 	}
@@ -188,6 +148,38 @@ func (s MatrixSpec) validate() error {
 		}
 	}
 	return nil
+}
+
+// matrixHeapBytes sizes every cell's heap.
+const matrixHeapBytes = 32 << 20
+
+// MatrixPreset is the sweep gcbench -experiment matrix runs: mutators
+// {1,2,4} × workers {1,2} × shards {1, per-class} × both barriers over
+// every contention variant of the churn, Zipf and auction profiles. The
+// smoke preset keeps ≥2 values on every axis but only the
+// high-contention variant of each profile, one pass and a small op
+// budget, so it completes in seconds; the sanity checks (and, against a
+// same-host baseline, the shape gate) still apply.
+func MatrixPreset(smoke bool) (MatrixSpec, error) {
+	variants, err := MatrixVariants([]string{"churn", "zipf", "auction"})
+	if err != nil {
+		return MatrixSpec{}, err
+	}
+	spec := MatrixSpec{
+		Mutators: []int{1, 2, 4},
+		Workers:  []int{1, 2},
+		Shards:   []int{1, 0},
+		Barriers: []gengc.BarrierMode{gengc.BarrierEager, gengc.BarrierBatched},
+		Variants: variants,
+	}
+	if smoke {
+		spec.Mutators = []int{1, 2}
+		spec.Variants = slices.DeleteFunc(variants, func(v MatrixVariant) bool {
+			return v.Contention != "high" && v.Contention != "s=1.2"
+		})
+		spec.TotalOps, spec.Passes, spec.YoungBytes = 12_000, 1, 256<<10
+	}
+	return spec, nil
 }
 
 // MatrixCell is one measured configuration: the cell coordinates, the
@@ -232,47 +224,18 @@ func (c MatrixCell) Key() string {
 		c.Profile, c.Contention, c.Mutators, c.Workers, c.Shards, c.Barrier)
 }
 
-// MatrixBaseline is an embedded reference run: the fingerprint of the
-// host that produced it and its per-cell ns/op map (keys from
-// MatrixCell.Key). The regression gate does not compare the absolute
-// values cell by cell — see CompareBaseline for the shape-normalized
-// comparison it actually performs; the raw map is kept so the reference
-// numbers stay readable and regenerable.
-type MatrixBaseline struct {
-	Fingerprint string             `json:"fingerprint"`
-	NsPerOp     map[string]float64 `json:"ns_per_op"`
-}
-
-// MatrixReport is the BENCH_matrix.json document; see BENCHMARKS.md for
-// the field-by-field schema and the baseline-matching rules.
-type MatrixReport struct {
-	Schema        string   `json:"schema"`
-	SchemaVersion int      `json:"schema_version"`
-	Generated     string   `json:"generated"`
-	Host          HostMeta `json:"host"`
-
+// MatrixRun is the matrix report's run-wide parameters.
+type MatrixRun struct {
 	TotalOps   int   `json:"total_ops_per_run"`
 	Passes     int   `json:"passes"`
 	Seed       int64 `json:"seed"`
 	HeapBytes  int   `json:"heap_bytes"`
 	YoungBytes int   `json:"young_bytes"`
-
-	Cells []MatrixCell `json:"cells"`
-
-	// Baseline bookkeeping: the embedded baseline this run was checked
-	// against (if any) and the outcome — "applied", "refused: host
-	// fingerprint mismatch (...)", or "none embedded". A refused
-	// comparison is not a failure: it means the numbers must not be
-	// read against the baseline, per the cross-host rule.
-	Baseline           *MatrixBaseline `json:"baseline,omitempty"`
-	BaselineComparison string          `json:"baseline_comparison"`
-
-	// Regressions lists everything flagged: profile/contention groups
-	// whose shape-normalized median ns/op exceeded the baseline
-	// tolerance, and cells that failed the host-independent sanity
-	// checks. Non-empty ⇒ cmd/gcsweep exits 2.
-	Regressions []string `json:"regressions"`
 }
+
+// MatrixReport is BENCH_matrix.json; see BENCHMARKS.md for the cell
+// fields and the baseline-matching rules.
+type MatrixReport = Report[MatrixRun, MatrixCell]
 
 // oneRun measures a single cell pass: a fresh runtime, TotalOps split
 // across the mutator threads, snapshot and cycle records on shutdown.
@@ -287,7 +250,7 @@ type oneRun struct {
 func (s MatrixSpec) runCell(v MatrixVariant, muts, workers, shards int, barrier gengc.BarrierMode, pass int) (oneRun, error) {
 	rt, err := gengc.New(
 		gengc.WithMode(gengc.Generational),
-		gengc.WithHeapBytes(s.HeapBytes),
+		gengc.WithHeapBytes(matrixHeapBytes),
 		gengc.WithYoungBytes(s.YoungBytes),
 		gengc.WithWorkers(workers),
 		gengc.WithAllocShards(shards),
@@ -352,35 +315,21 @@ func (s MatrixSpec) runCell(v MatrixVariant, muts, workers, shards int, barrier 
 	return r, nil
 }
 
-// medianF returns the median of xs (sorted in place); medianI likewise
-// for int64.
-func medianF(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-func medianI(xs []int64) int64 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
 // RunMatrix executes the sweep and returns the report (without baseline
-// comparison — callers apply CompareBaseline and Sanity, then stamp
-// Generated). The host's Go runtime GC is disabled for the duration, as
-// in every other experiment in this repo.
+// comparison — callers apply CompareMatrixBaseline and MatrixSanity).
+// The host's Go runtime GC is disabled for the duration, as in every
+// other experiment in this repo: its pauses would land in the
+// measurement.
 func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	prevGC := debug.SetGCPercent(-1)
+	defer func() {
+		debug.SetGCPercent(prevGC)
+		runtime.GC()
+	}()
 
 	type coords struct {
 		v                     MatrixVariant
@@ -416,16 +365,13 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 		}
 	}
 
-	rep := &MatrixReport{
-		Schema:        MatrixSchema,
-		SchemaVersion: MatrixSchemaVersion,
-		Host:          CurrentHost(),
-		TotalOps:      spec.TotalOps,
-		Passes:        spec.Passes,
-		Seed:          spec.Seed,
-		HeapBytes:     spec.HeapBytes,
-		YoungBytes:    spec.YoungBytes,
-	}
+	rep := NewReport[MatrixRun, MatrixCell]("matrix", MatrixRun{
+		TotalOps:   spec.TotalOps,
+		Passes:     spec.Passes,
+		Seed:       spec.Seed,
+		HeapBytes:  matrixHeapBytes,
+		YoungBytes: spec.YoungBytes,
+	})
 	for i, c := range cells {
 		var ns []float64
 		var p50, p99, p999, cyc, cmean, cmax, cont, fl, dd []int64
@@ -448,16 +394,16 @@ func RunMatrix(spec MatrixSpec) (*MatrixReport, error) {
 			Workers:        c.workers,
 			Shards:         c.shards,
 			Barrier:        c.barrier.String(),
-			NsPerOp:        medianF(ns),
-			PauseP50Ns:     medianI(p50),
-			PauseP99Ns:     medianI(p99),
-			PauseP999Ns:    medianI(p999),
-			Cycles:         medianI(cyc),
-			CycleMeanNs:    medianI(cmean),
-			CycleMaxNs:     medianI(cmax),
-			AllocContended: medianI(cont),
-			BarrierFlushes: medianI(fl),
-			CardDedupHits:  medianI(dd),
+			NsPerOp:        Median(ns),
+			PauseP50Ns:     Median(p50),
+			PauseP99Ns:     Median(p99),
+			PauseP999Ns:    Median(p999),
+			Cycles:         Median(cyc),
+			CycleMeanNs:    Median(cmean),
+			CycleMaxNs:     Median(cmax),
+			AllocContended: Median(cont),
+			BarrierFlushes: Median(fl),
+			CardDedupHits:  Median(dd),
 			Passes:         spec.Passes,
 		})
 	}
@@ -474,51 +420,49 @@ func groupOfKey(key string) string {
 	return parts[0] + "/" + parts[1]
 }
 
-// CompareBaseline checks this run's matrix *shape* against the embedded
-// baseline. The comparison is refused outright — no regressions,
-// comparison marked — when the baseline's host fingerprint differs from
-// this run's: cross-host ns/op comparison is exactly the
-// unreproducible-number failure mode this harness exists to kill.
+// MatrixShapeTolerancePct is how far a profile/contention group's
+// normalized median ns/op may grow past the baseline's before the shape
+// gate flags it.
+const MatrixShapeTolerancePct = 50
+
+// CompareMatrixBaseline checks the *shape* of rep's matrix against base,
+// the committed report LoadBaseline accepted for this host (nil when it
+// refused or found none: then there is nothing to compare).
 //
 // Even on the matching host, absolute ns/op swings run to run with
-// whatever else the machine is doing (measured on the 1-CPU reference
-// container: ~50% median whole-run drift between back-to-back full
-// sweeps). What *is* stable is the shape of the matrix — each cell's
-// ns/op divided by the run's median ns/op (measured drift of the
-// per-group medians of that ratio: ≤ ~30%). So both sides are
-// normalized by their own median over the overlapping cells, aggregated
-// to profile/contention group medians, and a regression is flagged per
-// group whose normalized median grew by more than tolerancePct. A
-// uniform whole-matrix slowdown is invisible to this gate by
-// construction — it is indistinguishable from host load; the absolute
-// per-cell numbers stay in the report and baseline for human reading,
-// and the single-configuration experiments (gcbench) gate absolute
-// throughput.
-func (r *MatrixReport) CompareBaseline(b MatrixBaseline, tolerancePct float64) {
-	if len(b.NsPerOp) == 0 {
-		r.BaselineComparison = "none embedded"
+// whatever else the machine is doing (measured on a 1-CPU container:
+// ~50% median whole-run drift between back-to-back full sweeps). What
+// *is* stable is the shape of the matrix — each cell's ns/op divided by
+// the run's median ns/op (measured drift of the per-group medians of
+// that ratio: ≤ ~30%). So both sides are normalized by their own median
+// over the overlapping cells, aggregated to profile/contention group
+// medians, and a regression is flagged per group whose normalized
+// median grew by more than MatrixShapeTolerancePct. A uniform
+// whole-matrix slowdown is invisible to this gate by construction — it
+// is indistinguishable from host load; the absolute per-cell numbers
+// stay in both reports for human reading, and the paired
+// single-configuration experiments gate absolute cost.
+func CompareMatrixBaseline(rep, base *MatrixReport) {
+	if base == nil {
 		return
 	}
-	r.Baseline = &b
-	if fp := r.Host.Fingerprint(); fp != b.Fingerprint {
-		r.BaselineComparison = fmt.Sprintf(
-			"refused: host fingerprint mismatch (run %q vs baseline %q) — ns/op is not comparable across hosts",
-			fp, b.Fingerprint)
-		return
+	baseNs := map[string]float64{}
+	for _, c := range base.Cells {
+		baseNs[c.Key()] = c.NsPerOp
 	}
-	// Restrict both sides to the overlapping cells, so partial sweeps
-	// (-smoke, custom axes) compare against the matching slice of the
-	// baseline with both medians computed over the same cell set.
+	// Restrict both sides to the overlapping cells, so the smoke sweep
+	// compares against the matching slice of the full baseline with
+	// both medians computed over the same cell set.
 	var keys []string
 	cur := map[string]float64{}
-	for _, c := range r.Cells {
-		if base, ok := b.NsPerOp[c.Key()]; ok && base > 0 && c.NsPerOp > 0 {
+	for _, c := range rep.Cells {
+		if b, ok := baseNs[c.Key()]; ok && b > 0 && c.NsPerOp > 0 {
 			keys = append(keys, c.Key())
 			cur[c.Key()] = c.NsPerOp
 		}
 	}
 	if len(keys) < 2 {
-		r.BaselineComparison = fmt.Sprintf(
+		rep.BaselineComparison = fmt.Sprintf(
 			"refused: only %d cells overlap the baseline — shape comparison needs at least 2", len(keys))
 		return
 	}
@@ -526,50 +470,51 @@ func (r *MatrixReport) CompareBaseline(b MatrixBaseline, tolerancePct float64) {
 	baseAll := make([]float64, 0, len(keys))
 	for _, k := range keys {
 		curAll = append(curAll, cur[k])
-		baseAll = append(baseAll, b.NsPerOp[k])
+		baseAll = append(baseAll, baseNs[k])
 	}
-	curMed, baseMed := medianF(curAll), medianF(baseAll)
+	curMed, baseMed := Median(curAll), Median(baseAll)
 	curG := map[string][]float64{}
 	baseG := map[string][]float64{}
 	for _, k := range keys {
 		g := groupOfKey(k)
 		curG[g] = append(curG[g], cur[k]/curMed)
-		baseG[g] = append(baseG[g], b.NsPerOp[k]/baseMed)
+		baseG[g] = append(baseG[g], baseNs[k]/baseMed)
 	}
 	groups := make([]string, 0, len(curG))
 	for g := range curG {
 		groups = append(groups, g)
 	}
 	sort.Strings(groups)
-	r.BaselineComparison = fmt.Sprintf(
-		"applied (shape-normalized, %d groups over %d cells)", len(groups), len(keys))
+	rep.BaselineComparison = fmt.Sprintf(
+		"applied (shape-normalized, %d groups over %d cells) against the report generated %s",
+		len(groups), len(keys), base.Generated)
 	for _, g := range groups {
-		cm, bm := medianF(curG[g]), medianF(baseG[g])
+		cm, bm := Median(curG[g]), Median(baseG[g])
 		if bm <= 0 {
 			continue
 		}
-		if cm > bm*(1+tolerancePct/100) {
-			r.Regressions = append(r.Regressions, fmt.Sprintf(
-				"group %s: normalized median ns/op %.3f vs baseline %.3f (+%.1f%%, tolerance %.0f%%)",
-				g, cm, bm, (cm/bm-1)*100, tolerancePct))
+		if cm > bm*(1+MatrixShapeTolerancePct/100.0) {
+			rep.Regressions = append(rep.Regressions, fmt.Sprintf(
+				"group %s: normalized median ns/op %.3f vs baseline %.3f (+%.1f%%, tolerance %d%%)",
+				g, cm, bm, (cm/bm-1)*100, MatrixShapeTolerancePct))
 		}
 	}
 }
 
-// Sanity appends host-independent structural checks — the ones that
-// still gate CI when the baseline comparison is refused: every batched
-// cell must have recorded buffer flushes (a silent barrier is an
+// MatrixSanity appends host-independent structural checks — the ones
+// that still gate CI when the baseline comparison is refused: every
+// batched cell must have recorded buffer flushes (a silent barrier is an
 // observability regression, not a fast one), and every cell must have
 // completed at least one collection cycle (a cell that never collects
 // measured nothing about the collector).
-func (r *MatrixReport) Sanity() {
-	for _, c := range r.Cells {
+func MatrixSanity(rep *MatrixReport) {
+	for _, c := range rep.Cells {
 		if c.Barrier == "batched" && c.BarrierFlushes == 0 {
-			r.Regressions = append(r.Regressions,
+			rep.Regressions = append(rep.Regressions,
 				fmt.Sprintf("%s: batched barrier recorded zero flushes", c.Key()))
 		}
 		if c.Cycles == 0 {
-			r.Regressions = append(r.Regressions,
+			rep.Regressions = append(rep.Regressions,
 				fmt.Sprintf("%s: run completed without a single collection cycle (ops budget too small)", c.Key()))
 		}
 	}

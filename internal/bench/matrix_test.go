@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,8 +55,8 @@ func TestRunMatrixSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != MatrixSchema || rep.SchemaVersion != MatrixSchemaVersion {
-		t.Errorf("schema stamp missing: %q v%d", rep.Schema, rep.SchemaVersion)
+	if rep.Schema != ReportSchema || rep.SchemaVersion != ReportSchemaVersion || rep.Experiment != "matrix" {
+		t.Errorf("envelope stamp missing: %q v%d %q", rep.Schema, rep.SchemaVersion, rep.Experiment)
 	}
 	if rep.Host.Fingerprint() == "" || rep.Host.GoVersion == "" {
 		t.Error("host metadata not stamped")
@@ -73,24 +75,44 @@ func TestRunMatrixSmall(t *testing.T) {
 			t.Errorf("%s: batched cell recorded no flushes", c.Key())
 		}
 	}
-	rep.Sanity()
+	MatrixSanity(rep)
 	if len(rep.Regressions) != 0 {
 		t.Errorf("sanity checks flagged a healthy run: %v", rep.Regressions)
 	}
 }
 
+// loadMatrixBaseline commits a matrix report with the given cells as
+// BENCH_matrix.json in a scratch directory, then loads it back the way
+// gcbench does before a run overwrites the file.
+func loadMatrixBaseline(t *testing.T, host HostMeta, cells []MatrixCell) (*MatrixReport, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "BENCH_matrix.json")
+	base := NewReport[MatrixRun, MatrixCell]("matrix", MatrixRun{})
+	base.Host, base.Cells = host, cells
+	if err := WriteReport(path, base); err != nil {
+		t.Fatal(err)
+	}
+	return LoadBaseline[MatrixRun, MatrixCell](path, "matrix")
+}
+
+// scaledCells copies cells with each ns/op replaced by ns(cell).
+func scaledCells(cells []MatrixCell, ns func(MatrixCell) float64) []MatrixCell {
+	out := slices.Clone(cells)
+	for i := range out {
+		out[i].NsPerOp = ns(out[i])
+	}
+	return out
+}
+
 func TestMatrixBaselineHostMismatchRefused(t *testing.T) {
-	rep := &MatrixReport{
-		Host:  CurrentHost(),
-		Cells: []MatrixCell{{Profile: "churn", Contention: "low", Mutators: 1, Workers: 1, Barrier: "eager", NsPerOp: 100}},
+	rep := NewReport[MatrixRun, MatrixCell]("matrix", MatrixRun{})
+	rep.Cells = []MatrixCell{{Profile: "churn", Contention: "low", Mutators: 1, Workers: 1, Barrier: "eager", NsPerOp: 100}}
+	other := HostMeta{GOOS: "plan9", GOARCH: "mips", GoMaxProcs: 64, NumCPU: 64}
+	base, status := loadMatrixBaseline(t, other, scaledCells(rep.Cells, func(MatrixCell) float64 { return 1 }))
+	if base != nil || !strings.HasPrefix(status, "refused: host fingerprint mismatch") {
+		t.Fatalf("cross-host baseline not refused: %q", status)
 	}
-	rep.CompareBaseline(MatrixBaseline{
-		Fingerprint: "plan9/mips gomaxprocs=64 numcpu=64",
-		NsPerOp:     map[string]float64{rep.Cells[0].Key(): 1},
-	}, 25)
-	if !strings.HasPrefix(rep.BaselineComparison, "refused") {
-		t.Errorf("cross-host comparison not refused: %q", rep.BaselineComparison)
-	}
+	CompareMatrixBaseline(rep, base)
 	if len(rep.Regressions) != 0 {
 		t.Errorf("refused comparison still produced regressions: %v", rep.Regressions)
 	}
@@ -107,25 +129,19 @@ func shapeCells() []MatrixCell {
 	}
 }
 
-func baselineFor(cells []MatrixCell, ns func(MatrixCell) float64) MatrixBaseline {
-	b := MatrixBaseline{Fingerprint: CurrentHost().Fingerprint(), NsPerOp: map[string]float64{}}
-	for _, c := range cells {
-		b.NsPerOp[c.Key()] = ns(c)
-	}
-	return b
-}
-
 func TestMatrixBaselineShapeRegressionFlagged(t *testing.T) {
-	// In the baseline, churn cost half of zipf; in this run they cost
-	// the same — churn's normalized group median doubled. That shape
-	// change must be flagged, and it must name the churn group only.
+	// In the baseline, churn cost a quarter of zipf; in this run they
+	// cost the same — churn's normalized group median grew 2.5x. That
+	// shape change must be flagged, and it must name the churn group
+	// only.
 	rep := &MatrixReport{Host: CurrentHost(), Cells: shapeCells()}
-	rep.CompareBaseline(baselineFor(rep.Cells, func(c MatrixCell) float64 {
+	base, _ := loadMatrixBaseline(t, CurrentHost(), scaledCells(rep.Cells, func(c MatrixCell) float64 {
 		if c.Profile == "churn" {
-			return 50
+			return 25
 		}
 		return 100
-	}), 25)
+	}))
+	CompareMatrixBaseline(rep, base)
 	if !strings.HasPrefix(rep.BaselineComparison, "applied") {
 		t.Fatalf("same-host comparison not applied: %q", rep.BaselineComparison)
 	}
@@ -139,7 +155,8 @@ func TestMatrixBaselineUniformSlowdownNotFlagged(t *testing.T) {
 	// nothing is flagged — a uniform shift is indistinguishable from
 	// host load and is deliberately not gated here.
 	rep := &MatrixReport{Host: CurrentHost(), Cells: shapeCells()}
-	rep.CompareBaseline(baselineFor(rep.Cells, func(MatrixCell) float64 { return 300 }), 25)
+	base, _ := loadMatrixBaseline(t, CurrentHost(), scaledCells(rep.Cells, func(MatrixCell) float64 { return 300 }))
+	CompareMatrixBaseline(rep, base)
 	if !strings.HasPrefix(rep.BaselineComparison, "applied") {
 		t.Fatalf("same-host comparison not applied: %q", rep.BaselineComparison)
 	}
@@ -150,10 +167,8 @@ func TestMatrixBaselineUniformSlowdownNotFlagged(t *testing.T) {
 
 func TestMatrixBaselineTooFewOverlapRefused(t *testing.T) {
 	rep := &MatrixReport{Host: CurrentHost(), Cells: shapeCells()[:1]}
-	rep.CompareBaseline(MatrixBaseline{
-		Fingerprint: CurrentHost().Fingerprint(),
-		NsPerOp:     map[string]float64{rep.Cells[0].Key(): 100},
-	}, 25)
+	base, _ := loadMatrixBaseline(t, CurrentHost(), shapeCells()[:1])
+	CompareMatrixBaseline(rep, base)
 	if !strings.HasPrefix(rep.BaselineComparison, "refused") {
 		t.Errorf("single-cell overlap not refused: %q", rep.BaselineComparison)
 	}
@@ -167,7 +182,7 @@ func TestMatrixSanityFlagsSilentBatchedBarrier(t *testing.T) {
 		{Profile: "zipf", Contention: "s=1.2", Mutators: 1, Workers: 1, Barrier: "batched", Cycles: 3, BarrierFlushes: 0},
 		{Profile: "zipf", Contention: "s=1.2", Mutators: 2, Workers: 1, Barrier: "eager", Cycles: 0},
 	}}
-	rep.Sanity()
+	MatrixSanity(rep)
 	if len(rep.Regressions) != 2 {
 		t.Fatalf("expected 2 sanity flags (silent batched barrier, zero cycles), got %v", rep.Regressions)
 	}

@@ -9,28 +9,37 @@ import (
 	"gengc/internal/server"
 )
 
-// This file is the server-mode overload harness behind cmd/gcserve:
-// the request engine of internal/server driven by the open-loop Poisson
-// load generator across offered arrival rates, once with the admission
-// controller armed and once naive, producing the versioned
-// BENCH_server.json report (schema: BENCHMARKS.md §server). The
-// experiment exists to demonstrate the robustness story end to end:
-// under overload the admitted leg sheds load with a bounded completed-
-// request latency tail and zero OOM, while the naive leg visibly
-// breaches the request SLO (its queue grows without bound, so completed
-// requests carry the queue wait) or exhausts the heap.
+// This file is the server-mode overload harness behind gcbench
+// -experiment server: the request engine of internal/server driven by
+// the open-loop Poisson load generator across offered arrival rates,
+// once with the admission controller armed and once naive, producing
+// BENCH_server.json (schema: BENCHMARKS.md). The experiment exists to
+// demonstrate the robustness story end to end: under overload the
+// admitted leg sheds load with a bounded completed-request latency tail
+// and zero OOM, while the naive leg visibly breaches the request SLO
+// (its queue grows without bound, so completed requests carry the queue
+// wait) or exhausts the heap.
 //
 // Rates are derived from a capacity calibration on the running host —
 // a closed-loop burst measuring sustainable completion throughput —
 // so "2× sustainable" means the same thing on a laptop and a loaded CI
 // container, and the regression gate can stay host-independent.
 
-// ServerSchema identifies the BENCH_server.json format; bump
-// ServerSchemaVersion on any incompatible field change and record the
-// change in BENCHMARKS.md.
+// The fixed shape of every server cell. The heap is sized so the
+// session state is a live-set fraction large enough that overload
+// actually threatens it; the SLO doubles as each admitted request's
+// deadline (the naive leg measures against it but never deadlines or
+// sheds); LowFraction of the arrivals are PriorityLow, the degraded-mode
+// shed candidates.
 const (
-	ServerSchema        = "gengc/bench-server"
-	ServerSchemaVersion = 1
+	serverWorkers     = 4
+	serverHeapBytes   = 12 << 20
+	serverYoungBytes  = 512 << 10
+	serverSLO         = 50 * time.Millisecond
+	serverObjects     = 96 // objects allocated per request
+	serverSlots       = 2
+	serverObjectSize  = 128
+	serverLowFraction = 0.25
 )
 
 // ServerOptions parameterizes the sweep. Zero fields assume defaults.
@@ -41,31 +50,8 @@ type ServerOptions struct {
 	// acceptance criterion.
 	Multipliers []float64
 
-	// Duration is each cell's load-generation window.
+	// Duration is each cell's load-generation window (default 2s).
 	Duration time.Duration
-
-	// Workers is the request-worker count.
-	Workers int
-
-	// HeapBytes/YoungBytes size the runtime; the defaults (12 MB /
-	// 512 KB) keep the session state a live-set fraction large enough
-	// that overload actually threatens the heap.
-	HeapBytes  int
-	YoungBytes int
-
-	// SLO is the per-request latency objective. The admission leg also
-	// uses it as each request's deadline; the naive leg measures
-	// against it but never deadlines or sheds.
-	SLO time.Duration
-
-	// Objects/Slots/Size shape each request's allocated graph.
-	Objects int
-	Slots   int
-	Size    int
-
-	// LowFraction is the PriorityLow arrival share (degraded-mode shed
-	// candidates).
-	LowFraction float64
 
 	Seed int64
 }
@@ -76,30 +62,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.Duration == 0 {
 		o.Duration = 2 * time.Second
-	}
-	if o.Workers == 0 {
-		o.Workers = 4
-	}
-	if o.HeapBytes == 0 {
-		o.HeapBytes = 12 << 20
-	}
-	if o.YoungBytes == 0 {
-		o.YoungBytes = 512 << 10
-	}
-	if o.SLO == 0 {
-		o.SLO = 50 * time.Millisecond
-	}
-	if o.Objects == 0 {
-		o.Objects = 96
-	}
-	if o.Slots == 0 {
-		o.Slots = 2
-	}
-	if o.Size == 0 {
-		o.Size = 128
-	}
-	if o.LowFraction == 0 {
-		o.LowFraction = 0.25
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -138,13 +100,10 @@ type ServerCell struct {
 	Fulls          int64 `json:"fulls"`
 }
 
-// ServerReport is the BENCH_server.json document.
-type ServerReport struct {
-	Schema        string   `json:"schema"`
-	SchemaVersion int      `json:"schema_version"`
-	Host          HostMeta `json:"host"`
-
-	WorkersConf     int     `json:"workers"`
+// ServerRun is the server report's run-wide parameters, including the
+// capacity calibrated on this host that the offered rates multiply.
+type ServerRun struct {
+	Workers         int     `json:"workers"`
 	HeapBytes       int     `json:"heap_bytes"`
 	YoungBytes      int     `json:"young_bytes"`
 	SLONs           int64   `json:"slo_ns"`
@@ -154,13 +113,10 @@ type ServerReport struct {
 	LowFraction     float64 `json:"low_fraction"`
 	CapacityPerSec  float64 `json:"capacity_per_sec"`
 	CalibrationReqs int64   `json:"calibration_reqs"`
-
-	Cells    []ServerCell `json:"cells"`
-	Findings []string     `json:"findings"`
-
-	// Regressions are the gate's failures (non-empty => exit 2).
-	Regressions []string `json:"regressions"`
 }
+
+// ServerReport is BENCH_server.json.
+type ServerReport = Report[ServerRun, ServerCell]
 
 // RunServer calibrates capacity, sweeps rate × admission, and gates the
 // result. logf (optional) receives one progress line per cell.
@@ -169,26 +125,23 @@ func RunServer(opts ServerOptions, logf func(format string, args ...any)) (*Serv
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	rep := &ServerReport{
-		Schema:        ServerSchema,
-		SchemaVersion: ServerSchemaVersion,
-		Host:          CurrentHost(),
-		WorkersConf:   opts.Workers,
-		HeapBytes:     opts.HeapBytes,
-		YoungBytes:    opts.YoungBytes,
-		SLONs:         int64(opts.SLO),
-		DurationNs:    int64(opts.Duration),
-		Objects:       opts.Objects,
-		ObjectSize:    opts.Size,
-		LowFraction:   opts.LowFraction,
-	}
+	rep := NewReport[ServerRun, ServerCell]("server", ServerRun{
+		Workers:     serverWorkers,
+		HeapBytes:   serverHeapBytes,
+		YoungBytes:  serverYoungBytes,
+		SLONs:       int64(serverSLO),
+		DurationNs:  int64(opts.Duration),
+		Objects:     serverObjects,
+		ObjectSize:  serverObjectSize,
+		LowFraction: serverLowFraction,
+	})
 
 	capacity, calReqs, err := calibrate(opts)
 	if err != nil {
 		return nil, fmt.Errorf("calibration: %w", err)
 	}
-	rep.CapacityPerSec = capacity
-	rep.CalibrationReqs = calReqs
+	rep.Run.CapacityPerSec = capacity
+	rep.Run.CalibrationReqs = calReqs
 	logf("calibrated capacity: %.0f req/s (%d closed-loop requests)", capacity, calReqs)
 
 	for _, mult := range opts.Multipliers {
@@ -206,7 +159,7 @@ func RunServer(opts ServerOptions, logf func(format string, args ...any)) (*Serv
 	}
 
 	rep.Findings = serverFindings(rep)
-	rep.Regressions = rep.Gate()
+	rep.Regressions = ServerGate(rep)
 	return rep, nil
 }
 
@@ -214,16 +167,16 @@ func RunServer(opts ServerOptions, logf func(format string, args ...any)) (*Serv
 // loop: enough requests to cover several collection cycles, submitted
 // with admission off and consumed as fast as the workers go.
 func calibrate(opts ServerOptions) (perSec float64, reqs int64, err error) {
-	rt, err := newServerRuntime(opts, false)
+	rt, err := newServerRuntime(false)
 	if err != nil {
 		return 0, 0, err
 	}
-	s := server.New(rt, server.Config{Workers: opts.Workers, Seed: opts.Seed})
+	s := server.New(rt, server.Config{Workers: serverWorkers, Seed: opts.Seed})
 	const n = 600
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if err := s.Submit(server.Request{
-			Objects: opts.Objects, Slots: opts.Slots, Size: opts.Size,
+			Objects: serverObjects, Slots: serverSlots, Size: serverObjectSize,
 		}); err != nil {
 			_ = s.Drain(context.Background())
 			return 0, 0, err
@@ -240,20 +193,20 @@ func calibrate(opts ServerOptions) (perSec float64, reqs int64, err error) {
 	return float64(st.Completed) / elapsed.Seconds(), st.Completed, nil
 }
 
-func newServerRuntime(opts ServerOptions, admit bool) (*gengc.Runtime, error) {
+func newServerRuntime(admit bool) (*gengc.Runtime, error) {
 	ro := []gengc.Option{
 		gengc.WithMode(gengc.Generational),
-		gengc.WithHeapBytes(opts.HeapBytes),
-		gengc.WithYoungBytes(opts.YoungBytes),
-		gengc.WithRequestSLO(opts.SLO),
+		gengc.WithHeapBytes(serverHeapBytes),
+		gengc.WithYoungBytes(serverYoungBytes),
+		gengc.WithRequestSLO(serverSLO),
 		gengc.WithFlightRecorder(256),
 		gengc.WithStallTimeout(100 * time.Millisecond),
 	}
 	if admit {
 		ro = append(ro, gengc.WithAdmission(gengc.AdmissionConfig{
-			MaxInFlight:  4 * opts.Workers,
-			MaxQueue:     8 * opts.Workers,
-			QueueTimeout: opts.SLO / 2,
+			MaxInFlight:  4 * serverWorkers,
+			MaxQueue:     8 * serverWorkers,
+			QueueTimeout: serverSLO / 2,
 		}))
 	}
 	return gengc.New(ro...)
@@ -261,18 +214,18 @@ func newServerRuntime(opts ServerOptions, admit bool) (*gengc.Runtime, error) {
 
 // runServerCell runs one (rate, admission) leg.
 func runServerCell(opts ServerOptions, mult, rate float64, admit bool) (*ServerCell, error) {
-	rt, err := newServerRuntime(opts, admit)
+	rt, err := newServerRuntime(admit)
 	if err != nil {
 		return nil, err
 	}
-	s := server.New(rt, server.Config{Workers: opts.Workers, Seed: opts.Seed})
+	s := server.New(rt, server.Config{Workers: serverWorkers, Seed: opts.Seed})
 
-	tpl := server.Request{Objects: opts.Objects, Slots: opts.Slots, Size: opts.Size}
+	tpl := server.Request{Objects: serverObjects, Slots: serverSlots, Size: serverObjectSize}
 	if admit {
 		// The admission leg gives every request the SLO as its
 		// deadline: queue wait counts against it, so work that cannot
 		// finish in time is abandoned instead of served late.
-		tpl.Deadline = opts.SLO
+		tpl.Deadline = serverSLO
 	}
 	load := server.RunLoad(context.Background(), s, server.LoadConfig{
 		StartRate:   rate,
@@ -280,7 +233,7 @@ func runServerCell(opts ServerOptions, mult, rate float64, admit bool) (*ServerC
 		BurstEvery:  opts.Duration / 4,
 		BurstLen:    opts.Duration / 20,
 		BurstFactor: 2,
-		LowFraction: opts.LowFraction,
+		LowFraction: serverLowFraction,
 		Template:    tpl,
 		Seed:        opts.Seed + int64(mult*1000) + boolSeed(admit),
 	})
@@ -377,8 +330,8 @@ func topOverloadCells(rep *ServerReport) overloadPair {
 	return p
 }
 
-// Gate applies the host-independent acceptance checks; any returned
-// string is a regression (cmd/gcserve exits 2). The checks compare the
+// ServerGate applies the host-independent acceptance checks; any
+// returned string is a regression (gcbench exits 2). The checks compare the
 // two legs' *behavior classes*, not absolute latencies, so they hold on
 // any host:
 //
@@ -391,7 +344,7 @@ func topOverloadCells(rep *ServerReport) overloadPair {
 //     served arbitrarily late);
 //  4. the top overload naive cell measurably misbehaves: it breaches
 //     the SLO or OOMs (the contrast that justifies the controller).
-func (rep *ServerReport) Gate() []string {
+func ServerGate(rep *ServerReport) []string {
 	var bad []string
 	for i := range rep.Cells {
 		c := &rep.Cells[i]
@@ -407,10 +360,10 @@ func (rep *ServerReport) Gate() []string {
 			bad = append(bad, fmt.Sprintf(
 				"admitted cell x%.2g completed nothing", c.Multiplier))
 		}
-		if c.P999Ns > 4*rep.SLONs {
+		if c.P999Ns > 4*rep.Run.SLONs {
 			bad = append(bad, fmt.Sprintf(
 				"admitted cell x%.2g: completed p99.9 %v exceeds 4x SLO %v",
-				c.Multiplier, time.Duration(c.P999Ns), time.Duration(rep.SLONs)))
+				c.Multiplier, time.Duration(c.P999Ns), time.Duration(rep.Run.SLONs)))
 		}
 	}
 	top := topOverloadCells(rep)

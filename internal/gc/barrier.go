@@ -243,8 +243,8 @@ func (m *Mutator) flushBarrier(reason string) {
 
 // BarrierStats is the write barrier's counter snapshot. The counters
 // only advance in batched mode; Mode reports which barrier ran. The
-// contention matrix (cmd/gcsweep) records Flushes and CardDedupHits per
-// cell — on Zipf-skewed workloads the dedup counter is the direct
+// contention matrix (gcbench -experiment matrix) records Flushes and
+// CardDedupHits per cell — on Zipf-skewed workloads the dedup counter is the direct
 // measure of how much hot-card traffic the batching elides.
 type BarrierStats struct {
 	// Mode is the configured barrier.

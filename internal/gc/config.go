@@ -72,6 +72,20 @@ func (m Mode) String() string {
 	return "invalid"
 }
 
+// ParseMode parses a collector name: what String returns, or the
+// short forms the commands accept (non, nongen, gen, simple, aging).
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "non", "nongen", "non-generational":
+		return NonGenerational, nil
+	case "gen", "generational", "simple":
+		return Generational, nil
+	case "aging", "generational+aging":
+		return GenerationalAging, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (non|gen|aging)", s)
+}
+
 // Generational reports whether the mode maintains generations (and hence
 // a card table).
 func (m Mode) IsGenerational() bool { return m != NonGenerational }
@@ -106,6 +120,17 @@ func (b BarrierMode) String() string {
 		return "batched"
 	}
 	return "invalid"
+}
+
+// ParseBarrierMode parses a barrier name as String returns it.
+func ParseBarrierMode(s string) (BarrierMode, error) {
+	switch s {
+	case "eager":
+		return BarrierEager, nil
+	case "batched":
+		return BarrierBatched, nil
+	}
+	return 0, fmt.Errorf("unknown barrier %q (eager|batched)", s)
 }
 
 // Config parameterizes a collector. The zero value is not usable; call

@@ -63,6 +63,38 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+func TestParseModes(t *testing.T) {
+	for _, m := range []Mode{NonGenerational, Generational, GenerationalAging} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for alias, want := range map[string]Mode{
+		"non": NonGenerational, "nongen": NonGenerational,
+		"gen": Generational, "simple": Generational,
+		"aging": GenerationalAging,
+	} {
+		if got, err := ParseMode(alias); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", alias, got, err, want)
+		}
+	}
+	for _, b := range []BarrierMode{BarrierEager, BarrierBatched} {
+		if got, err := ParseBarrierMode(b.String()); err != nil || got != b {
+			t.Errorf("ParseBarrierMode(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	for _, bad := range []string{"", "Gen", "invalid", "generational-aging"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) accepted", bad)
+		}
+	}
+	for _, bad := range []string{"", "Eager", "invalid", "lazy"} {
+		if _, err := ParseBarrierMode(bad); err == nil {
+			t.Errorf("ParseBarrierMode(%q) accepted", bad)
+		}
+	}
+}
+
 func TestStatusStrings(t *testing.T) {
 	if StatusAsync.String() != "async" || StatusSync1.String() != "sync1" || StatusSync2.String() != "sync2" {
 		t.Error("status strings wrong")

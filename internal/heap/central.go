@@ -127,8 +127,8 @@ type AllocStats struct {
 }
 
 // Contended is the total count of contended lock acquisitions across
-// tiers — the scalar the contention matrix (cmd/gcsweep) records per
-// cell as alloc_contended.
+// tiers — the scalar the contention matrix (gcbench -experiment
+// matrix) records per cell as alloc_contended.
 func (a AllocStats) Contended() int64 {
 	return a.ShardContended + a.PageContended
 }

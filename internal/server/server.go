@@ -4,9 +4,10 @@
 // worker-owned mutators, an open-loop load generator (loadgen.go)
 // drives Poisson arrivals with ramps and bursts, and the runtime's
 // admission controller (gengc.WithAdmission) converts overload into
-// prompt sheds instead of SLO collapse or OOM. cmd/gcserve sweeps it
-// across arrival rates into BENCH_server.json; DESIGN.md §"Server mode
-// & admission control" has the control-loop picture.
+// prompt sheds instead of SLO collapse or OOM. gcbench -experiment
+// server sweeps it across arrival rates into BENCH_server.json;
+// DESIGN.md §"Server mode & admission control" has the control-loop
+// picture.
 package server
 
 import (

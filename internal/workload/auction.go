@@ -7,9 +7,9 @@ import (
 	"gengc"
 )
 
-// Auction is the auction-site mix of the contention matrix
-// (cmd/gcsweep), shaped after the RUBiS-style buy/bid workloads the
-// ddtxn benchmarks drive (zipf.go/buy.go/rubis.go): a catalog of
+// Auction is the auction-site mix of the contention matrix (gcbench
+// -experiment matrix), shaped after the RUBiS-style buy/bid workloads
+// the ddtxn benchmarks drive (zipf.go/buy.go/rubis.go): a catalog of
 // long-lived item listings with Zipf-distributed popularity, a table of
 // long-lived users, and a stream of operations that is mostly bids —
 // each bid allocates a short-lived bid record and links it onto the

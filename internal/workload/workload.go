@@ -17,7 +17,7 @@
 //   - BarrierChurn: a store-dominated loop with uniform fan-out into a
 //     small base set — the write-barrier microbenchmark (cmd/gcbench
 //     -experiment barrier) and the "churn" profile of the contention
-//     matrix (cmd/gcsweep).
+//     matrix (gcbench -experiment matrix).
 //   - ZipfChurn: a popularity table whose objects receive pointer
 //     mutations in Zipf-skewed proportion (the Zipf type; skew s is a
 //     knob), concentrating inter-generational card traffic on hot

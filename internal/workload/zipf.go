@@ -60,19 +60,20 @@ func (z *Zipf) Prob(k int) float64 {
 }
 
 // ZipfChurn is the Zipf-popularity object-graph profile of the
-// contention matrix (cmd/gcsweep): a table of long-lived objects whose
-// popularity follows a Zipf distribution, mutated by a stream of young
-// allocations. Every operation allocates one short-lived object and
-// stores it into a Zipf-chosen table object, so hot table objects
-// receive a skewed share of the pointer mutations — after the first
-// collection the table is old (black) and every such store is an
-// inter-generational write. High skew therefore concentrates card marks
-// (and, under BarrierBatched, same-card dedup opportunities) on a few
-// cards and focuses allocation-death traffic on a few size-class
-// shards; low skew spreads the same store volume across the table.
-// This is the popularity shape that "millions of users" traffic
-// actually has, and it is exactly what the uniform churn loop
-// (BarrierChurn) cannot express.
+// contention matrix (gcbench -experiment matrix): a table of
+// long-lived objects whose popularity follows a Zipf distribution,
+// mutated by a stream of young allocations. Every operation allocates
+// one short-lived object and stores it into a Zipf-chosen table
+// object, so hot table objects receive a skewed share of the pointer
+// mutations — after the first collection the table is old (black) and
+// every such store is an inter-generational write. High skew
+// therefore concentrates card marks (and, under BarrierBatched,
+// same-card dedup opportunities) on a few cards and focuses
+// allocation-death traffic on a few size-class shards; low skew
+// spreads the same store volume across the table. This is the
+// popularity shape that "millions of users" traffic actually has, and
+// it is exactly what the uniform churn loop (BarrierChurn) cannot
+// express.
 //
 // The profile is deterministic under a fixed Seed: two runs with the
 // same parameters perform the identical sequence of allocations,
